@@ -24,6 +24,7 @@ from .hilbert import (
 from .ideal_ops import (
     QuotientRing,
     colon,
+    colon_powers,
     ideal_intersect,
     ideal_power,
     ideal_product,

@@ -14,7 +14,7 @@ import time
 
 from .errors import ParseError, PreconditionError, UsageError
 from .fields import field_from_name
-from .groebner import Ideal, normal_form
+from .groebner import Ideal
 from .hilbert import filtration_hilbert, graded_hilbert
 from .ideal_ops import (
     colon,
@@ -92,16 +92,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot read input file {path!r}: {reason}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -163,9 +168,7 @@ def _run_ring_command(args, resolved):
     if command == "nf":
         if poly is None:
             raise UsageError("nf needs --poly (or 'poly = ...' in the input file)")
-        gb = I.groebner_basis()
-        remainder = normal_form(poly, gb) if gb else poly
-        return {"remainder": str(remainder)}, 0
+        return {"remainder": str(I.reduce(poly))}, 0
     if command == "colon":
         if second is None:
             raise UsageError("colon needs --ideal2")
@@ -252,6 +255,8 @@ def _run_storch(args):
 
 
 def _run_random_ci(args):
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(args.seed)
     instances = []
     all_hold = True

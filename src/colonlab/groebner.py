@@ -76,25 +76,22 @@ def _sub_scaled_tail(work, start, g_terms, q, kshift, p):
     return out
 
 
-def normal_form(f: Polynomial, G) -> Polynomial:
-    """Remainder of f on division by the sequence G.
+def _divisor(g: Polynomial):
+    """The reducer entry of a nonzero g: (lead exponents, lead key, 1/lc, terms)."""
+    return (g.leading_exps, g.leading_key, g.ring.field.inv(g.leading_coeff), g.terms)
 
-    No term of the result is divisible by any leading monomial of G, and
-    f - result lies in <G>.
+
+def _reduce(f: Polynomial, divisors) -> Polynomial:
+    """Remainder of f on division by prebuilt divisor entries, unchecked.
+
+    The entries come from _divisor, in the order the divisors are tried.
     """
-    G = list(G)
-    ring = f.ring
-    _require_ring(ring, G)
-    if any(g.is_zero for g in G):
-        raise UsageError("normal_form divisors must be nonzero")
-    if not G or f.is_zero:
+    if not divisors or f.is_zero:
         return f
+    ring = f.ring
     field = ring.field
     p = field.p if isinstance(field, PrimeField) else None
     exps_of = ring.order.exps
-    divisors = [
-        (g.leading_exps, g.leading_key, field.inv(g.leading_coeff), g.terms) for g in G
-    ]
     work = list(f.terms)
     start = 0
     remainder = []
@@ -117,6 +114,21 @@ def normal_form(f: Polynomial, G) -> Polynomial:
             remainder.append(work[start])
             start += 1
     return Polynomial(ring, tuple(remainder))
+
+
+def normal_form(f: Polynomial, G) -> Polynomial:
+    """Remainder of f on division by the sequence G.
+
+    No term of the result is divisible by any leading monomial of G, and
+    f - result lies in <G>.
+    """
+    G = list(G)
+    _require_ring(f.ring, G)
+    if any(g.is_zero for g in G):
+        raise UsageError("normal_form divisors must be nonzero")
+    if not G or f.is_zero:
+        return f
+    return _reduce(f, [_divisor(g) for g in G])
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -151,7 +163,8 @@ def buchberger(gens, use_chain_criterion: bool = True):
         if m.terms not in seen:
             seen.add(m.terms)
             G.append(m)
-    lead = [g.leading_exps for g in G]
+    divisors = [_divisor(g) for g in G]
+    lead = [d[0] for d in divisors]
     pairs = []
     for j in range(len(G)):
         for i in range(j):
@@ -167,10 +180,12 @@ def buchberger(gens, use_chain_criterion: bool = True):
             continue  # coprime leading monomials
         if use_chain_criterion and _chain_applies(i, j, lcm, lead, done):
             continue
-        r = normal_form(s_polynomial(G[i], G[j]), G)
+        r = _reduce(s_polynomial(G[i], G[j]), divisors)
         if not r.is_zero:
-            G.append(r.monic())
-            lead.append(r.leading_exps)
+            r = r.monic()
+            G.append(r)
+            divisors.append(_divisor(r))
+            lead.append(divisors[-1][0])
             new = len(G) - 1
             for k in range(new):
                 lcm = mono_lcm(lead[k], lead[new])
@@ -203,18 +218,23 @@ def reduce_gb(G):
     ring = work[0].ring
     _require_ring(ring, work)
     work = [g.monic() for g in work]
+    entries = [_divisor(g) for g in work]
     stable = False
     while not stable:
         stable = True
-        passed = []
+        passed, passed_entries = [], []
         for i, g in enumerate(work):
-            others = passed + work[i + 1 :]
-            r = normal_form(g, others) if others else g
-            if r != g:
-                stable = False
+            r = _reduce(g, passed_entries + entries[i + 1 :])
+            if r == g:
+                passed.append(g)
+                passed_entries.append(entries[i])
+                continue
+            stable = False
             if not r.is_zero:
-                passed.append(r.monic())
-        work = passed
+                r = r.monic()
+                passed.append(r)
+                passed_entries.append(_divisor(r))
+        work, entries = passed, passed_entries
     work.sort(key=lambda g: g.leading_key, reverse=True)
     return tuple(work)
 
@@ -222,12 +242,14 @@ def reduce_gb(G):
 class Ideal:
     """An ideal given by generators, with a lazily cached reduced Groebner basis.
 
-    The cache is compute-then-publish: the basis is assembled completely before
-    the single attribute assignment, so concurrent readers either see None and
-    recompute the same value or see the finished tuple.
+    The reducer entries of that basis (see _divisor) are cached beside it, so
+    reductions modulo the ideal build them once. Both caches are
+    compute-then-publish: each value is assembled completely before its single
+    attribute assignment, so concurrent readers either see None and recompute
+    the same value or see the finished tuple.
     """
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_divisors")
 
     def __init__(self, ring: Ring, generators):
         generators = tuple(generators)
@@ -235,6 +257,7 @@ class Ideal:
         self.ring = ring
         self.generators = generators
         self._gb = None
+        self._divisors = None
 
     def groebner_basis(self):
         gb = self._gb
@@ -242,6 +265,16 @@ class Ideal:
             gb = reduce_gb(buchberger(self.generators))
             self._gb = gb
         return gb
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        """The normal form of f modulo the ideal (its reduced basis's remainder)."""
+        if type(f) is not Polynomial or f.ring != self.ring:
+            raise UsageError("polynomial and ideal live in different rings")
+        divisors = self._divisors
+        if divisors is None:
+            divisors = tuple(_divisor(g) for g in self.groebner_basis())
+            self._divisors = divisors
+        return _reduce(f, divisors)
 
     @property
     def is_zero(self) -> bool:
@@ -261,12 +294,7 @@ class Ideal:
 
 
 def ideal_membership(f: Polynomial, I: Ideal) -> bool:
-    if f.ring != I.ring:
-        raise UsageError("polynomial and ideal live in different rings")
-    gb = I.groebner_basis()
-    if not gb:
-        return f.is_zero
-    return normal_form(f, gb).is_zero
+    return I.reduce(f).is_zero
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:

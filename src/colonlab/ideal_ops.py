@@ -2,7 +2,10 @@
 
 Colon by an ideal is realized as the intersection of single-element colons,
 each computed with the classical elimination trick (fresh dominant variable t,
-then keep the t-free part of the basis). Ideals of a quotient ring R/J are
+then keep the t-free part of the basis). Colons by successive powers walk the
+rung recurrence I : J^i = (I : J^(i-1)) : J (Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, 4.4), so each rung costs one colon by J's
+generators rather than by all of J^i's. Ideals of a quotient ring R/J are
 represented by ambient ideals; the image is what is meant.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 from itertools import product as cartesian_product
 
 from .errors import InternalError, PreconditionError, UsageError
-from .groebner import Ideal, normal_form
+from .groebner import Ideal
 from .poly import Polynomial, Ring, mono_divides, mono_quotient
 
 
@@ -149,16 +152,29 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
     factors = _dedup_nonzero(J.generators)
     if not factors:
         raise UsageError("colon by the zero ideal")
-    gb_i = I.groebner_basis()
     result = None
     for f in factors:
-        if gb_i and normal_form(f, gb_i).is_zero:
+        if I.reduce(f).is_zero:
             continue  # f in I, so I : (f) is the unit ideal
         part = _colon_single(I, f)
         result = part if result is None else ideal_intersect(result, part)
     if result is None:
         return unit_ideal(I.ring)
     return result
+
+
+def colon_powers(I: Ideal, J: Ideal, top: int):
+    """[I : J^i for i = 0..top], rung i taken as (rung i-1) : J.
+
+    Rung 0 is I itself. Equal as ideals to colon(I, J^i) rung by rung, by
+    (I : A) : B = I : AB.
+    """
+    if type(top) is not int or top < 0:
+        raise UsageError(f"top rung must be a nonnegative int, got {top!r}")
+    rungs = [I]
+    for _ in range(top):
+        rungs.append(colon(rungs[-1], J))
+    return rungs
 
 
 class QuotientRing:
@@ -180,8 +196,7 @@ class QuotientRing:
         return len(self.standard_monomials)
 
     def reduce(self, f: Polynomial) -> Polynomial:
-        gb = self.defining.groebner_basis()
-        return normal_form(f, gb) if gb else f
+        return self.defining.reduce(f)
 
     def maximal_ideal(self) -> Ideal:
         return irrelevant_power(self.ring, 1)

@@ -5,7 +5,8 @@
     primary:= uint ('/' uint)? | ident ('^' uint)? | '(' expr ')'
 
 Whitespace is insignificant. Integer literals reduce into the coefficient
-field (so "1/2" over F_5 means 1 * inv(2) = 3).
+field (so "1/2" over F_5 means 1 * inv(2) = 3). Parentheses nest at most
+MAX_NESTING deep, so deep input is a ParseError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .errors import ParseError
 from .poly import Polynomial, Ring
 
 _SYMBOLS = "+-*/^()"
+MAX_NESTING = 100
 
 
 class _Token:
@@ -71,6 +73,7 @@ class _Parser:
     def __init__(self, tokens, ring: Ring):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.ring = ring
 
     def peek(self) -> _Token:
@@ -145,8 +148,14 @@ class _Parser:
             exps = tuple(exponent if j == index else 0 for j in range(self.ring.nvars))
             return self.ring.monomial(exps)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested more than {MAX_NESTING} deep", tok.line, tok.col
+                )
             self.advance()
+            self.depth += 1
             poly = self.expr()
+            self.depth -= 1
             self.expect(")")
             return poly
         raise ParseError(f"expected a term, found {tok.value!r}", tok.line, tok.col)

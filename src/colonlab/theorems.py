@@ -4,6 +4,12 @@ Index ranges follow the statements exactly: the complete-intersection ladder
 runs over i = 0..delta+1, the Gorenstein-quotient ladder and the corollary over
 i = 0..delta. Reports carry per-rung basis sizes so a failure localizes without
 rerunning anything.
+
+All three ladders walk their left-hand sides one rung at a time (colon_powers):
+lhs_0 is the base ideal and lhs_i = lhs_(i-1) : step, which equals the direct
+colon by the i-th power because (I : A) : B = I : AB. The complete-intersection
+ladder and the corollary step by m; the Gorenstein-quotient ladder steps by
+J + I, since J : (J + I^i) = J : I^i.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .hilbert import (
 )
 from .ideal_ops import (
     QuotientRing,
-    colon,
+    colon_powers,
     ideal_sum,
     irrelevant_power,
     is_gorenstein,
@@ -71,6 +77,22 @@ def _homogeneous_degrees(gens):
     return degrees
 
 
+def _ladder_rungs(base: Ideal, step: Ideal, top: int, rhs_of) -> tuple:
+    """Rungs i = 0..top comparing base : step^i with the ideal rhs_of(i)."""
+    rungs = []
+    for i, lhs in enumerate(colon_powers(base, step, top)):
+        rhs = rhs_of(i)
+        rungs.append(
+            LadderRung(
+                i,
+                len(lhs.groebner_basis()),
+                len(rhs.groebner_basis()),
+                ideal_equal(lhs, rhs),
+            )
+        )
+    return tuple(rungs)
+
+
 def verify_macaulay_ladder(gens) -> LadderReport:
     """Check I : m^i = I + m^(delta+1-i) for i = 0..delta+1.
 
@@ -89,19 +111,13 @@ def verify_macaulay_ladder(gens) -> LadderReport:
     I = Ideal(ring, tuple(gens))
     make_quotient(I)  # raises if the quotient is not Artinian
     delta = sum(degrees) - ring.nvars
-    rungs = []
-    for i in range(delta + 2):
-        lhs = colon(I, irrelevant_power(ring, i))
-        rhs = ideal_sum(I, irrelevant_power(ring, delta + 1 - i))
-        rungs.append(
-            LadderRung(
-                i,
-                len(lhs.groebner_basis()),
-                len(rhs.groebner_basis()),
-                ideal_equal(lhs, rhs),
-            )
-        )
-    return LadderReport(delta, tuple(rungs), all(r.equal for r in rungs))
+    rungs = _ladder_rungs(
+        I,
+        irrelevant_power(ring, 1),
+        delta + 1,
+        lambda i: ideal_sum(I, irrelevant_power(ring, delta + 1 - i)),
+    )
+    return LadderReport(delta, rungs, all(r.equal for r in rungs))
 
 
 def verify_symmetry(J: Ideal):
@@ -137,25 +153,14 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
             return J
         return ideal_sum(J, Ideal(ring, tuple(chain[k - 1])))
 
-    rungs = []
-    for i in range(delta + 1):
-        lhs = colon(J, power_image(i))
-        rhs = power_image(delta + 1 - i)
-        rungs.append(
-            LadderRung(
-                i,
-                len(lhs.groebner_basis()),
-                len(rhs.groebner_basis()),
-                ideal_equal(lhs, rhs),
-            )
-        )
+    rungs = _ladder_rungs(J, power_image(1), delta, lambda i: power_image(delta + 1 - i))
     ladder_holds = all(r.equal for r in rungs)
     table = filtration_hilbert(A, I)
     if table.delta != delta:
         raise InternalError("filtration table disagrees with the power chain")
     symmetric = is_symmetric(table)
     return EquivalenceReport(
-        delta, ladder_holds, table, symmetric, ladder_holds == symmetric, tuple(rungs)
+        delta, ladder_holds, table, symmetric, ladder_holds == symmetric, rungs
     )
 
 
@@ -166,20 +171,12 @@ def verify_corollary(J: Ideal) -> LadderReport:
     if not is_gorenstein(A):
         raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
     ring = A.ring
-    delta = nilpotency_index(A, irrelevant_power(ring, 1))
-    rungs = []
-    for i in range(delta + 1):
-        lhs = colon(J, ideal_sum(J, irrelevant_power(ring, i)))
-        rhs = ideal_sum(J, irrelevant_power(ring, delta + 1 - i))
-        rungs.append(
-            LadderRung(
-                i,
-                len(lhs.groebner_basis()),
-                len(rhs.groebner_basis()),
-                ideal_equal(lhs, rhs),
-            )
-        )
-    return LadderReport(delta, tuple(rungs), all(r.equal for r in rungs))
+    m = irrelevant_power(ring, 1)
+    delta = nilpotency_index(A, m)
+    rungs = _ladder_rungs(
+        J, m, delta, lambda i: ideal_sum(J, irrelevant_power(ring, delta + 1 - i))
+    )
+    return LadderReport(delta, rungs, all(r.equal for r in rungs))
 
 
 def check_delta_identity(gens) -> bool:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
+
+import pytest
 
 from colonlab import Ideal, QQ, Ring, ideal_equal
 from colonlab.cli import main
@@ -229,3 +232,46 @@ def test_lex_order_supported(capsys):
     assert code == 0
     assert document["ring"]["order"] == "lex"
     assert document["result"]["delta"] == 2 and document["result"]["holds"] is True
+
+
+def test_missing_input_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    code, out, err = run(capsys, "hilbert", "--vars", "x", "--gens", "x^2", "--in", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read input file") and "Traceback" not in err
+
+
+def test_undecodable_input_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe vars = x\n")
+    code, out, err = run(capsys, "gb", "--in", str(path))
+    assert code == 2 and err.startswith("error: cannot read input file")
+
+
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_random_ci_count_below_one_is_usage_error(capsys, count):
+    code, out, err = run(capsys, "random-ci", "--count", count, "--json")
+    assert code == 2 and out == ""
+    assert "--count must be at least 1" in err
+
+
+def test_deep_nesting_is_parse_error(capsys):
+    depth = 5000
+    gens = "(" * depth + "x" + ")" * depth
+    code, out, err = run(capsys, "gb", "--vars", "x", "--gens", gens)
+    assert code == 2 and out == ""
+    assert "nested more than" in err
+
+
+# --json documents captured before colon ladders walked their rungs one at a
+# time; the output must stay byte-identical apart from timing_ms.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+def test_golden_json_output(capsys, case):
+    code, out, err = run(capsys, *case["argv"], "--json")
+    assert err == ""
+    assert code == case["exit_code"]
+    out = re.sub(r'"timing_ms": [0-9.e+-]+', '"timing_ms": 0', out)
+    assert out == json.dumps(case["document"], indent=2) + "\n"

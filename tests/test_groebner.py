@@ -289,3 +289,25 @@ def test_cached_basis_properties_on_corpus(corpus):
             others = [h for h in gb if h is not g]
             for e, _ in g.iter_terms():
                 assert not any(mono_divides(h.leading_exps, e) for h in others), name
+
+
+def test_ideal_reduce_matches_normal_form_on_corpus(corpus):
+    rng = random.Random(61)
+    for name, ideal, _ in corpus:
+        gb = ideal.groebner_basis()
+        for _ in range(5):
+            f = random_poly(rng, ideal.ring, max_exp=4, max_terms=6)
+            assert ideal.reduce(f) == normal_form(f, gb), name
+            assert ideal.contains(f) == normal_form(f, gb).is_zero, name
+
+
+def test_ideal_reduce_rejects_foreign_polynomial():
+    ring = Ring(("x", "y"), QQ)
+    other = Ring(("x", "y"), F2)
+    ideal = Ideal(ring, (ring.parse("x^2"),))
+    with pytest.raises(UsageError):
+        ideal.reduce(other.parse("x"))
+    with pytest.raises(UsageError):
+        ideal_membership(other.parse("x"), ideal)
+    with pytest.raises(UsageError):
+        Ideal(ring, ()).reduce(other.parse("x"))

@@ -10,15 +10,20 @@ from colonlab import (
     Ideal,
     PreconditionError,
     QQ,
+    UsageError,
     Ring,
     annihilator,
     build_model,
     check_delta_identity,
+    colon,
+    colon_powers,
     ideal_equal,
     ideal_sum,
     irrelevant_power,
     make_quotient,
+    nilpotency_index,
     oracle_power,
+    order_from_name,
     random_complete_intersection,
     storch_counterexample,
     storch_ideal,
@@ -30,7 +35,9 @@ from colonlab import (
     verify_symmetry,
 )
 
-from conftest import CHAR2_VARIANT_GENS, F2, make_ideal
+from colonlab.hilbert import image_power_chain
+
+from conftest import CHAR2_VARIANT_GENS, CORPUS, F2, F32003, STORCH_GENS, make_ideal
 
 
 @pytest.fixture
@@ -228,3 +235,62 @@ def test_report_rung_sizes_populated():
     report = storch_counterexample()
     for rung in report.rungs:
         assert rung.lhs_gb_size >= 1 and rung.rhs_gb_size >= 1
+
+
+# Rung-recurrence cases: the whole corpus under its default order plus a few
+# instances under lex, one of them storch with its failing rung.
+LEX = order_from_name("lex")
+RUNG_CASES = [(name, field, variables, gens, None) for name, field, variables, gens, _ in CORPUS]
+RUNG_CASES += [
+    ("storch_lex", F2, ("x", "y"), STORCH_GENS, LEX),
+    ("mixed_ci_lex", F32003, ("x", "y"), ("x^2+y^2", "x*y^2"), LEX),
+    ("dense_ci_lex", F32003, ("x", "y", "z"), ("x^2+y*z", "y^2+3*x*z-z^2", "z^2+x*y"), LEX),
+]
+
+
+def _power_image(J, chain, k):
+    """J + I^k read through the reduced power chain, as the equivalence does."""
+    ring = J.ring
+    if k == 0:
+        return ideal_sum(J, unit_ideal(ring))
+    if k > len(chain):
+        return J
+    return ideal_sum(J, Ideal(ring, tuple(chain[k - 1])))
+
+
+@pytest.mark.parametrize("case", RUNG_CASES, ids=[case[0] for case in RUNG_CASES])
+def test_colon_powers_match_direct_colons(case):
+    name, field, variables, gens, order = case
+    J = make_ideal(field, variables, gens, order)
+    ring = J.ring
+    A = make_quotient(J)
+    m = irrelevant_power(ring, 1)
+    ladder = colon_powers(J, m, nilpotency_index(A, m) + 1)
+    for i, lhs in enumerate(ladder):
+        direct = colon(J, irrelevant_power(ring, i))
+        assert lhs.groebner_basis() == direct.groebner_basis(), (name, i)
+    assert ladder[-1].is_unit and not ladder[-2].is_unit
+    for inner in (m, irrelevant_power(ring, 2)):
+        chain = image_power_chain(A, inner)
+        step = _power_image(J, chain, 1)
+        for i, lhs in enumerate(colon_powers(J, step, len(chain))):
+            direct = colon(J, _power_image(J, chain, i))
+            assert lhs.groebner_basis() == direct.groebner_basis(), (name, i)
+
+
+def test_colon_powers_keep_storch_failing_rung():
+    J = make_ideal(F2, ("x", "y"), STORCH_GENS)
+    A = make_quotient(J)
+    chain = image_power_chain(A, irrelevant_power(J.ring, 1))
+    delta = len(chain)
+    ladder = colon_powers(J, _power_image(J, chain, 1), delta)
+    equal = [ideal_equal(lhs, _power_image(J, chain, delta + 1 - i)) for i, lhs in enumerate(ladder)]
+    assert delta == 3 and equal == [True, True, False, True]
+    rung = ladder[2]
+    assert rung.groebner_basis() == colon(J, _power_image(J, chain, 2)).groebner_basis()
+
+
+def test_colon_powers_rejects_negative_top():
+    J = make_ideal(QQ, ("x", "y"), ("x^2", "y^2"))
+    with pytest.raises(UsageError):
+        colon_powers(J, irrelevant_power(J.ring, 1), -1)
