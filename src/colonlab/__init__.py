@@ -42,7 +42,6 @@ from .oracle import (
     annihilator,
     build_model,
     oracle_filtration_hilbert,
-    oracle_length,
     oracle_power,
     subspace_intersect,
     subspace_of_ideal,

@@ -20,7 +20,6 @@ from .ideal_ops import (
     colon,
     ideal_intersect,
     irrelevant_power,
-    is_gorenstein,
     make_quotient,
     socle,
 )
@@ -194,10 +193,11 @@ def _run_ring_command(args, resolved):
     if command == "socle":
         A = make_quotient(I)
         S = socle(A)
+        socle_dimension = A.length - make_quotient(S).length
         return {
             "socle_basis": _basis_strings(S),
-            "socle_dimension": A.length - make_quotient(S).length,
-            "gorenstein": is_gorenstein(A),
+            "socle_dimension": socle_dimension,
+            "gorenstein": socle_dimension == 1,
         }, 0
     if command == "ladder":
         report = verify_macaulay_ladder(gens)

@@ -1,7 +1,14 @@
 """Exact coefficient arithmetic: prime fields F_p and arbitrary-precision rationals.
 
 Elements are plain values (ints reduced into [0, p) for F_p, `fractions.Fraction`
-for Q); the field object supplies the operations and validates its operands.
+for Q). Every field has an attribute `p`: the modulus of F_p, None for Q. It is
+the single place where "reduce mod p or not" is decided; the polynomial,
+Groebner and oracle kernels read `field.p` and normalise with `c % p` when it
+is set, never by testing the field's type.
+
+Validation sits at `element()`, which coerces outside values into canonical
+elements, and at the public per-operation methods (`add`, `mul`, `inv`, ...),
+which check their operands. The kernels work on canonical elements directly.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ class PrimeField:
     """F_p for a prime 2 <= p < 2^31; elements are ints in [0, p)."""
 
     __slots__ = ("p",)
-    kind = "prime"
 
     def __init__(self, p: int):
         if type(p) is not int or not 2 <= p <= MAX_PRIME:
@@ -56,10 +62,6 @@ class PrimeField:
     @property
     def name(self) -> str:
         return f"F{self.p}"
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
 
     @property
     def zero(self) -> int:
@@ -131,15 +133,11 @@ class RationalField:
     """Q with elements as `fractions.Fraction` (lowest terms, positive denominator)."""
 
     __slots__ = ()
-    kind = "rational"
+    p = None
 
     @property
     def name(self) -> str:
         return "Q"
-
-    @property
-    def characteristic(self) -> int:
-        return 0
 
     @property
     def zero(self) -> Fraction:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 
 from .errors import UsageError
-from .fields import PrimeField
 from .poly import Polynomial, Ring, mono_divides, mono_lcm
 
 
@@ -22,56 +21,27 @@ def _require_ring(ring: Ring, polys) -> None:
 
 
 def _sub_scaled_tail(work, start, g_terms, q, kshift, p):
-    """work[start+1:] minus q * x^kshift * g_terms[1:].
+    """work[start+1:] minus q * x^kshift * g_terms[1:]; p is the modulus or None.
 
     The heads cancel by construction (q was chosen so the leading terms match),
     so they are skipped on both sides. Keys shift additively.
     """
     out = []
-    i, j = start + 1, 1
-    lw, lg = len(work), len(g_terms)
-    if p is None:
-        while i < lw and j < lg:
-            ka, ca = work[i]
-            kg, cg = g_terms[j]
-            kb = tuple(a + b for a, b in zip(kg, kshift))
-            if ka > kb:
-                out.append(work[i])
-                i += 1
-            elif ka < kb:
-                out.append((kb, -q * cg))
-                j += 1
-            else:
-                c = ca - q * cg
-                if c != 0:
-                    out.append((ka, c))
-                i += 1
-                j += 1
-        while j < lg:
-            kg, cg = g_terms[j]
-            out.append((tuple(a + b for a, b in zip(kg, kshift)), -q * cg))
-            j += 1
-    else:
-        while i < lw and j < lg:
-            ka, ca = work[i]
-            kg, cg = g_terms[j]
-            kb = tuple(a + b for a, b in zip(kg, kshift))
-            if ka > kb:
-                out.append(work[i])
-                i += 1
-            elif ka < kb:
-                out.append((kb, -q * cg % p))
-                j += 1
-            else:
-                c = (ca - q * cg) % p
-                if c:
-                    out.append((ka, c))
-                i += 1
-                j += 1
-        while j < lg:
-            kg, cg = g_terms[j]
-            out.append((tuple(a + b for a, b in zip(kg, kshift)), -q * cg % p))
-            j += 1
+    i, lw = start + 1, len(work)
+    nq = -q
+    for kg, cg in g_terms[1:]:
+        kb = tuple(a + b for a, b in zip(kg, kshift))
+        while i < lw and work[i][0] > kb:
+            out.append(work[i])
+            i += 1
+        c = nq * cg
+        if i < lw and work[i][0] == kb:
+            c += work[i][1]
+            i += 1
+        if p:
+            c %= p
+        if c:
+            out.append((kb, c))
     out.extend(work[i:])
     return out
 
@@ -89,8 +59,7 @@ def _reduce(f: Polynomial, divisors) -> Polynomial:
     if not divisors or f.is_zero:
         return f
     ring = f.ring
-    field = ring.field
-    p = field.p if isinstance(field, PrimeField) else None
+    p = ring.field.p
     exps_of = ring.order.exps
     work = list(f.terms)
     start = 0
@@ -105,7 +74,9 @@ def _reduce(f: Polynomial, divisors) -> Polynomial:
                     ok = False
                     break
             if ok:
-                q = c0 * dinv % p if p is not None else c0 * dinv
+                q = c0 * dinv
+                if p:
+                    q %= p
                 kshift = tuple(a - b for a, b in zip(k0, dkey))
                 work = _sub_scaled_tail(work, start, dterms, q, kshift, p)
                 start = 0

@@ -108,7 +108,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
         return J
     if len(gb_j) == 1 and gb_j[0] == ring.one:
         return I
-    ring_ext, _ = ring.with_elim_variable()
+    ring_ext = ring.with_elim_variable()
     t = ring_ext.variable(0)
     one_minus_t = ring_ext.one - t
     gens = [t * _to_extended(ring_ext, f) for f in gb_i]

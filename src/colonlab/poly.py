@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 
 from .errors import UsageError
-from .fields import PrimeField
 
 Exponents = tuple
 
@@ -226,17 +225,14 @@ class Ring:
 
         return parse_polynomial(text, self)
 
-    def with_elim_variable(self, base_name: str = "t"):
-        """Ring with a fresh dominant variable prepended under Elim(1).
-
-        Returns (extended_ring, index_of_new_variable).
-        """
-        name = base_name
+    def with_elim_variable(self) -> "Ring":
+        """Ring with a fresh dominant variable (index 0) prepended under Elim(1)."""
+        name = "t"
         counter = 0
         while name in self._var_index:
-            name = f"{base_name}{counter}"
+            name = f"t{counter}"
             counter += 1
-        return Ring((name,) + self.variables, self.field, Elim(1)), 0
+        return Ring((name,) + self.variables, self.field, Elim(1))
 
     def __eq__(self, other):
         return (
@@ -254,41 +250,26 @@ class Ring:
 
 
 def _merge_add(A, B, p):
-    """A + B for canonical descending term lists; p is the modulus or None for Q."""
+    """A + B for canonical descending term lists; p is the field's modulus (None for Q)."""
     out = []
     i, j, la, lb = 0, 0, len(A), len(B)
-    if p is None:
-        while i < la and j < lb:
-            ka, ca = A[i]
-            kb, cb = B[j]
-            if ka > kb:
-                out.append(A[i])
-                i += 1
-            elif ka < kb:
-                out.append(B[j])
-                j += 1
-            else:
-                c = ca + cb
-                if c != 0:
-                    out.append((ka, c))
-                i += 1
-                j += 1
-    else:
-        while i < la and j < lb:
-            ka, ca = A[i]
-            kb, cb = B[j]
-            if ka > kb:
-                out.append(A[i])
-                i += 1
-            elif ka < kb:
-                out.append(B[j])
-                j += 1
-            else:
-                c = (ca + cb) % p
-                if c:
-                    out.append((ka, c))
-                i += 1
-                j += 1
+    while i < la and j < lb:
+        ka, ca = A[i]
+        kb, cb = B[j]
+        if ka > kb:
+            out.append(A[i])
+            i += 1
+        elif ka < kb:
+            out.append(B[j])
+            j += 1
+        else:
+            c = ca + cb
+            if p:
+                c %= p
+            if c:
+                out.append((ka, c))
+            i += 1
+            j += 1
     out.extend(A[i:])
     out.extend(B[j:])
     return out
@@ -363,15 +344,11 @@ class Polynomial:
 
     def __add__(self, other):
         self._require_same_ring(other)
-        p = self.ring.field.p if isinstance(self.ring.field, PrimeField) else None
-        return Polynomial(self.ring, tuple(_merge_add(self.terms, other.terms, p)))
+        return Polynomial(self.ring, tuple(_merge_add(self.terms, other.terms, self.ring.field.p)))
 
     def __neg__(self):
-        field = self.ring.field
-        if isinstance(field, PrimeField):
-            p = field.p
-            return Polynomial(self.ring, tuple((k, -c % p) for k, c in self.terms))
-        return Polynomial(self.ring, tuple((k, -c) for k, c in self.terms))
+        p = self.ring.field.p
+        return Polynomial(self.ring, tuple((k, -c % p if p else -c) for k, c in self.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -381,10 +358,10 @@ class Polynomial:
         c = field.element(coeff)
         if c == field.zero:
             return self.ring.zero
-        if isinstance(field, PrimeField):
-            p = field.p
-            return Polynomial(self.ring, tuple((k, c * ck % p) for k, ck in self.terms))
-        return Polynomial(self.ring, tuple((k, c * ck) for k, ck in self.terms))
+        p = field.p
+        return Polynomial(
+            self.ring, tuple((k, c * ck % p if p else c * ck) for k, ck in self.terms)
+        )
 
     def mul_term(self, coeff, exps) -> "Polynomial":
         """Multiply by coeff * x^exps (key shift keeps the term order)."""
@@ -393,32 +370,28 @@ class Polynomial:
         if c == field.zero or not self.terms:
             return self.ring.zero
         shift = self.ring.order.key(tuple(exps))
-        if isinstance(field, PrimeField):
-            p = field.p
-            new = tuple(
-                (tuple(a + b for a, b in zip(k, shift)), c * ck % p) for k, ck in self.terms
-            )
-        else:
-            new = tuple(
-                (tuple(a + b for a, b in zip(k, shift)), c * ck) for k, ck in self.terms
-            )
+        p = field.p
+        new = tuple(
+            (tuple(a + b for a, b in zip(k, shift)), c * ck % p if p else c * ck)
+            for k, ck in self.terms
+        )
         return Polynomial(self.ring, new)
 
     def __mul__(self, other):
         self._require_same_ring(other)
-        field = self.ring.field
+        p = self.ring.field.p
         acc = {}
         for ka, ca in self.terms:
             for kb, cb in other.terms:
                 k = tuple(a + b for a, b in zip(ka, kb))
                 prev = acc.get(k)
                 acc[k] = ca * cb if prev is None else prev + ca * cb
-        if isinstance(field, PrimeField):
-            p = field.p
-            items = [(k, c % p) for k, c in acc.items()]
-            items = [(k, c) for k, c in items if c]
-        else:
-            items = [(k, c) for k, c in acc.items() if c != 0]
+        items = []
+        for k, c in acc.items():
+            if p:
+                c %= p
+            if c:
+                items.append((k, c))
         items.sort(reverse=True)
         return Polynomial(self.ring, tuple(items))
 
@@ -463,7 +436,7 @@ class Polynomial:
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
             )
-            negative = field.kind == "rational" and c < 0
+            negative = field.p is None and c < 0
             mag = -c if negative else c
             if not mono:
                 body = str(mag)

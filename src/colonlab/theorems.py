@@ -65,7 +65,16 @@ class EquivalenceReport:
     rungs: tuple
 
 
-def _homogeneous_degrees(gens):
+def _complete_intersection(gens):
+    """(ring, generators, degrees) of n homogeneous positive-degree generators in n variables."""
+    gens = list(gens)
+    if not gens:
+        raise PreconditionError("no generators given")
+    ring = gens[0].ring
+    if len(gens) != ring.nvars:
+        raise PreconditionError(
+            f"need exactly {ring.nvars} generators in {ring.nvars} variables, got {len(gens)}"
+        )
     degrees = []
     for g in gens:
         homogeneous, degree = g.is_homogeneous()
@@ -74,7 +83,16 @@ def _homogeneous_degrees(gens):
                 f"generator {g} is not homogeneous of positive degree"
             )
         degrees.append(degree)
-    return degrees
+    return ring, tuple(gens), degrees
+
+
+def _graded_gorenstein(J: Ideal):
+    """(quotient, graded table) of R/J, which must be graded Artinian Gorenstein."""
+    A = make_quotient(J)
+    table = graded_hilbert(A)  # also enforces homogeneity
+    if not is_gorenstein(A):
+        raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
+    return A, table
 
 
 def _ladder_rungs(base: Ideal, step: Ideal, top: int, rhs_of) -> tuple:
@@ -99,16 +117,8 @@ def verify_macaulay_ladder(gens) -> LadderReport:
     Requires n homogeneous generators in n variables cutting out an Artinian
     quotient (a complete intersection), with delta = sum(d_i) - n.
     """
-    gens = list(gens)
-    if not gens:
-        raise PreconditionError("no generators given")
-    ring = gens[0].ring
-    if len(gens) != ring.nvars:
-        raise PreconditionError(
-            f"need exactly {ring.nvars} generators in {ring.nvars} variables, got {len(gens)}"
-        )
-    degrees = _homogeneous_degrees(gens)
-    I = Ideal(ring, tuple(gens))
+    ring, gens, degrees = _complete_intersection(gens)
+    I = Ideal(ring, gens)
     make_quotient(I)  # raises if the quotient is not Artinian
     delta = sum(degrees) - ring.nvars
     rungs = _ladder_rungs(
@@ -122,10 +132,7 @@ def verify_macaulay_ladder(gens) -> LadderReport:
 
 def verify_symmetry(J: Ideal):
     """Graded table of an Artinian Gorenstein graded quotient and its symmetry."""
-    A = make_quotient(J)
-    table = graded_hilbert(A)  # also enforces homogeneity
-    if not is_gorenstein(A):
-        raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
+    _, table = _graded_gorenstein(J)
     return table, is_symmetric(table)
 
 
@@ -166,10 +173,7 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
 
 def verify_corollary(J: Ideal) -> LadderReport:
     """Check 0 : m^i = m^(delta+1-i) for i = 0..delta in a graded Gorenstein quotient."""
-    A = make_quotient(J)
-    graded_hilbert(A)  # enforces homogeneity
-    if not is_gorenstein(A):
-        raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
+    A, _ = _graded_gorenstein(J)
     ring = A.ring
     m = irrelevant_power(ring, 1)
     delta = nilpotency_index(A, m)
@@ -181,16 +185,8 @@ def verify_corollary(J: Ideal) -> LadderReport:
 
 def check_delta_identity(gens) -> bool:
     """Top nonzero graded degree equals sum(d_i) - n and carries length 1."""
-    gens = list(gens)
-    if not gens:
-        raise PreconditionError("no generators given")
-    ring = gens[0].ring
-    if len(gens) != ring.nvars:
-        raise PreconditionError(
-            f"need exactly {ring.nvars} generators in {ring.nvars} variables, got {len(gens)}"
-        )
-    degrees = _homogeneous_degrees(gens)
-    A = make_quotient(Ideal(ring, tuple(gens)))
+    ring, gens, degrees = _complete_intersection(gens)
+    A = make_quotient(Ideal(ring, gens))
     table = graded_hilbert(A)
     expected = sum(degrees) - ring.nvars
     return table.delta == expected and table.values[table.delta] == 1
@@ -213,14 +209,12 @@ def storch_ideal(ring: Ring | None = None) -> Ideal:
 def storch_counterexample() -> EquivalenceReport:
     """The characteristic-2 Gorenstein quotient whose ladder fails.
 
-    Builds the fixture, asserts Gorensteinness, and returns the equivalence
-    report for I = m: the filtration table is (1, 2, 1, 1), it is not
-    symmetric, and the ladder fails (exactly at i = 2), consistently.
+    Returns the equivalence report for I = m (verify_main_equivalence checks
+    that the fixture is Gorenstein): the filtration table is (1, 2, 1, 1), it
+    is not symmetric, and the ladder fails (exactly at i = 2), consistently.
     """
     ring = storch_ring()
     A = make_quotient(storch_ideal(ring))
-    if not is_gorenstein(A):
-        raise InternalError("counterexample fixture must be Gorenstein")
     return verify_main_equivalence(A, irrelevant_power(ring, 1))
 
 

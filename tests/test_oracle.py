@@ -21,7 +21,6 @@ from colonlab import (
     length_of_quotient,
     make_quotient,
     oracle_filtration_hilbert,
-    oracle_length,
     oracle_power,
     subspace_of_ideal,
 )
@@ -108,7 +107,7 @@ def test_power_dimension_chain(square_model):
     V = subspace_of_ideal(square_model, irrelevant_power(square_model.ring, 1))
     dims = [oracle_power(square_model, V, k).dim for k in range(4)]
     assert dims == [4, 3, 1, 0]
-    assert oracle_length(V) == 3
+    assert V.dim == 3
 
 
 def test_oracle_filtration_storch():
@@ -179,12 +178,12 @@ def test_duality_length_identity(corpus):
 
 
 def test_variable_matrices_are_nilpotent_on_local_instances(corpus):
-    from colonlab.oracle import _mat_mul, _modulus
+    from colonlab.oracle import _mat_mul
 
     for name, ideal, _ in corpus[:8]:
         A = make_quotient(ideal)
         M = build_model(A)
-        p = _modulus(M.field)
+        p = M.field.p
         for mat in M.mats:
             power = mat
             for _ in range(M.dim):
