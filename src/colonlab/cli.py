@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per verifier plus exploration primitives.
 
 Exit codes: 0 when the invoked verifier's expected verdict holds (or a primitive
-succeeds), 1 on a verified-failure verdict, 2 on usage or precondition errors.
+succeeds), 1 on a verified-failure verdict, 2 on usage or precondition errors,
+3 on any other exception (an internal error, never a verdict's code).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import random
 import sys
 import time
+import traceback
 
 from .errors import ParseError, PreconditionError, UsageError
 from .fields import field_from_name
@@ -333,6 +335,10 @@ def main(argv=None) -> int:
     except (ParseError, UsageError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     _emit(args, result, ring, elapsed_ms)
     return code

@@ -4,6 +4,11 @@ Determinism contract: normal_form always reduces the greatest reducible term by
 the first eligible divisor in the listed order; buchberger selects pairs by
 minimal lcm degree with ties broken by pair index; reduce_gb returns the unique
 reduced monic basis sorted descending by leading monomial.
+
+buchberger keeps its basis monic and forms each S-pair straight from the two
+reducer entries (_s_pair): g_i's terms are shifted once and g_j's shifted tail
+is subtracted, the heads cancelling. s_polynomial is the public reference for
+the same polynomial.
 """
 
 from __future__ import annotations
@@ -115,6 +120,19 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return left - right
 
 
+def _s_pair(ring: Ring, di, dj, lcm) -> Polynomial:
+    """S(g_i, g_j) from the reducer entries of monic g_i, g_j; lcm is their lead lcm.
+
+    Equal to s_polynomial(g_i, g_j): x^(lcm - lm_i) g_i minus x^(lcm - lm_j) g_j,
+    built with one shift of g_i's terms and one tail merge of g_j's.
+    """
+    lcm_key = ring.order.key(lcm)
+    ki = tuple(a - b for a, b in zip(lcm_key, di[1]))
+    kj = tuple(a - b for a, b in zip(lcm_key, dj[1]))
+    work = [(tuple(a + b for a, b in zip(k, ki)), c) for k, c in di[3]]
+    return Polynomial(ring, tuple(_sub_scaled_tail(work, 0, dj[3], 1, kj, ring.field.p)))
+
+
 def buchberger(gens, use_chain_criterion: bool = True):
     """A Groebner basis of <gens> (monic, not autoreduced).
 
@@ -151,7 +169,7 @@ def buchberger(gens, use_chain_criterion: bool = True):
             continue  # coprime leading monomials
         if use_chain_criterion and _chain_applies(i, j, lcm, lead, done):
             continue
-        r = _reduce(s_polynomial(G[i], G[j]), divisors)
+        r = _reduce(_s_pair(ring, divisors[i], divisors[j], lcm), divisors)
         if not r.is_zero:
             r = r.monic()
             G.append(r)

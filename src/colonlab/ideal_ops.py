@@ -2,7 +2,13 @@
 
 Colon by an ideal is realized as the intersection of single-element colons,
 each computed with the classical elimination trick (fresh dominant variable t,
-then keep the t-free part of the basis). Colons by successive powers walk the
+then keep the t-free part of the basis). A colon by a single variable x_j (times
+a scalar) skips elimination when the ideal is homogeneous, that is when every
+element of its reduced basis is homogeneous: in degrevlex with x_j last, the
+basis elements divided by x_j where x_j divides them form a Groebner basis of
+I : x_j (Bayer and Stillman, Invent. Math. 87, 1987; Eisenbud, Commutative
+Algebra, Prop. 15.12). Every other colon keeps elimination, the only path for
+inhomogeneous ideals. Colons by successive powers walk the
 rung recurrence I : J^i = (I : J^(i-1)) : J (Cox, Little and O'Shea, Ideals,
 Varieties, and Algorithms, 4.4), so each rung costs one colon by J's
 generators rather than by all of J^i's. Ideals of a quotient ring R/J are
@@ -11,11 +17,12 @@ represented by ambient ideals; the image is what is meant.
 
 from __future__ import annotations
 
-from itertools import product as cartesian_product
-
 from .errors import InternalError, PreconditionError, UsageError
 from .groebner import Ideal
-from .poly import Polynomial, Ring, mono_divides, mono_quotient
+from .poly import DegRevLex, Polynomial, Ring, mono_divides, mono_quotient
+
+# make_quotient refuses quotients with more standard monomials than this.
+MAX_QUOTIENT_LENGTH = 100_000
 
 
 def _dedup_nonzero(polys):
@@ -139,8 +146,54 @@ def _exact_divide(f: Polynomial, d: Polynomial) -> Polynomial:
     return ring.from_terms(quotient_terms)
 
 
+def _relabel(ring: Ring, f: Polynomial, source) -> Polynomial:
+    """f with variable source[i] renamed to ring's i-th variable, in ring's order."""
+    key = ring.order.key
+    terms = [(key(tuple(e[s] for s in source)), c) for e, c in f.iter_terms()]
+    terms.sort(reverse=True)
+    return Polynomial(ring, tuple(terms))
+
+
+def _colon_variable(I: Ideal, j: int) -> Ideal:
+    """I : x_j for homogeneous I, without elimination (Bayer-Stillman).
+
+    In degrevlex with x_j last, a homogeneous g is divisible by x_j exactly
+    when its leading monomial is, and {g / x_j if x_j | g else g} over a
+    Groebner basis of I is a Groebner basis of I : x_j.
+    """
+    ring = I.ring
+    n = ring.nvars
+    basis = I.groebner_basis()
+    if j == n - 1 and ring.order == DegRevLex():
+        work_ring, back = ring, None
+    else:
+        source = tuple(k for k in range(n) if k != j) + (j,)
+        work_ring = Ring(tuple(ring.variables[k] for k in source), ring.field, DegRevLex())
+        basis = Ideal(
+            work_ring, tuple(_relabel(work_ring, g, source) for g in basis)
+        ).groebner_basis()
+        back = tuple(source.index(k) for k in range(n))
+    shift = work_ring.order.key((0,) * (n - 1) + (1,))
+    gens = []
+    for g in basis:
+        if g.leading_exps[-1]:
+            g = Polynomial(
+                work_ring,
+                tuple((tuple(a - b for a, b in zip(k, shift)), c) for k, c in g.terms),
+            )
+        gens.append(g if back is None else _relabel(ring, g, back))
+    return Ideal(ring, tuple(gens))
+
+
 def _colon_single(I: Ideal, f: Polynomial) -> Ideal:
-    """I : (f) = (I ∩ (f)) divided term-exactly by f."""
+    """I : (f); by _colon_variable when f = c x_j and I is homogeneous.
+
+    Otherwise I : (f) = (I ∩ (f)) divided term-exactly by f.
+    """
+    if f.num_terms == 1:
+        exps = f.leading_exps
+        if sum(exps) == 1 and all(g.is_homogeneous()[0] for g in I.groebner_basis()):
+            return _colon_variable(I, exps.index(1))
     meet = ideal_intersect(I, Ideal(I.ring, (f,)))
     gens = [_exact_divide(g, f) for g in meet.generators]
     return Ideal(I.ring, tuple(gens))
@@ -206,29 +259,35 @@ class QuotientRing:
 
 
 def make_quotient(J: Ideal) -> QuotientRing:
-    """Build R/J with enumerated standard monomials; J must cut out an Artinian ring."""
+    """Build R/J with enumerated standard monomials; J must cut out an Artinian ring.
+
+    The standard monomials are walked up the staircase (each is reached from
+    the one with its last nonzero exponent lowered by one), so the work tracks
+    the quotient's length; a length above MAX_QUOTIENT_LENGTH is refused.
+    """
     ring = J.ring
     gb = J.groebner_basis()
     leads = [g.leading_exps for g in gb]
     n = ring.nvars
-    bounds = []
     for j in range(n):
-        pure = [
-            e[j]
-            for e in leads
-            if all(x == 0 for i, x in enumerate(e) if i != j)
-        ]
-        if not pure:
+        if not any(all(x == 0 for i, x in enumerate(e) if i != j) for e in leads):
             raise PreconditionError(
                 f"quotient is not Artinian: no pure power of variable "
                 f"'{ring.variables[j]}' among the leading monomials"
             )
-        bounds.append(min(pure))
-    std = [
-        e
-        for e in cartesian_product(*(range(b) for b in bounds))
-        if not any(mono_divides(lead, e) for lead in leads)
-    ]
+    std = []
+    stack = [((0,) * n, 0)]  # (exponents, first variable it may still raise)
+    while stack:
+        e, first = stack.pop()
+        if any(mono_divides(lead, e) for lead in leads):
+            continue
+        std.append(e)
+        if len(std) > MAX_QUOTIENT_LENGTH:
+            raise PreconditionError(
+                f"quotient is too long: more than {MAX_QUOTIENT_LENGTH} standard monomials"
+            )
+        for k in range(first, n):
+            stack.append((e[:k] + (e[k] + 1,) + e[k + 1 :], k))
     std.sort(key=ring.order.key)
     return QuotientRing(ring, J, tuple(std))
 

@@ -9,7 +9,8 @@ All three ladders walk their left-hand sides one rung at a time (colon_powers):
 lhs_0 is the base ideal and lhs_i = lhs_(i-1) : step, which equals the direct
 colon by the i-th power because (I : A) : B = I : AB. The complete-intersection
 ladder and the corollary step by m; the Gorenstein-quotient ladder steps by
-J + I, since J : (J + I^i) = J : I^i.
+J + I, since J : (J + I^i) = J : I^i. The corollary takes rung 1 from the
+socle J : m that its Gorenstein check computes.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .ideal_ops import (
     is_gorenstein,
     make_quotient,
     monomials_of_degree,
+    socle,
 )
 from .poly import Ring
 
@@ -87,18 +89,19 @@ def _complete_intersection(gens):
 
 
 def _graded_gorenstein(J: Ideal):
-    """(quotient, graded table) of R/J, which must be graded Artinian Gorenstein."""
+    """(quotient, graded table, socle J : m) of R/J, which must be graded Artinian Gorenstein."""
     A = make_quotient(J)
     table = graded_hilbert(A)  # also enforces homogeneity
-    if not is_gorenstein(A):
+    S = socle(A)
+    if A.length - make_quotient(S).length != 1:
         raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
-    return A, table
+    return A, table, S
 
 
-def _ladder_rungs(base: Ideal, step: Ideal, top: int, rhs_of) -> tuple:
-    """Rungs i = 0..top comparing base : step^i with the ideal rhs_of(i)."""
+def _ladder_rungs(lhs_ideals, rhs_of) -> tuple:
+    """Rungs i = 0, 1, ... comparing the i-th left-hand ideal with rhs_of(i)."""
     rungs = []
-    for i, lhs in enumerate(colon_powers(base, step, top)):
+    for i, lhs in enumerate(lhs_ideals):
         rhs = rhs_of(i)
         rungs.append(
             LadderRung(
@@ -122,9 +125,7 @@ def verify_macaulay_ladder(gens) -> LadderReport:
     make_quotient(I)  # raises if the quotient is not Artinian
     delta = sum(degrees) - ring.nvars
     rungs = _ladder_rungs(
-        I,
-        irrelevant_power(ring, 1),
-        delta + 1,
+        colon_powers(I, irrelevant_power(ring, 1), delta + 1),
         lambda i: ideal_sum(I, irrelevant_power(ring, delta + 1 - i)),
     )
     return LadderReport(delta, rungs, all(r.equal for r in rungs))
@@ -132,7 +133,7 @@ def verify_macaulay_ladder(gens) -> LadderReport:
 
 def verify_symmetry(J: Ideal):
     """Graded table of an Artinian Gorenstein graded quotient and its symmetry."""
-    _, table = _graded_gorenstein(J)
+    _, table, _ = _graded_gorenstein(J)
     return table, is_symmetric(table)
 
 
@@ -160,7 +161,9 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
             return J
         return ideal_sum(J, Ideal(ring, tuple(chain[k - 1])))
 
-    rungs = _ladder_rungs(J, power_image(1), delta, lambda i: power_image(delta + 1 - i))
+    rungs = _ladder_rungs(
+        colon_powers(J, power_image(1), delta), lambda i: power_image(delta + 1 - i)
+    )
     ladder_holds = all(r.equal for r in rungs)
     table = filtration_hilbert(A, I)
     if table.delta != delta:
@@ -172,14 +175,16 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
 
 
 def verify_corollary(J: Ideal) -> LadderReport:
-    """Check 0 : m^i = m^(delta+1-i) for i = 0..delta in a graded Gorenstein quotient."""
-    A, _ = _graded_gorenstein(J)
+    """Check 0 : m^i = m^(delta+1-i) for i = 0..delta in a graded Gorenstein quotient.
+
+    Rung 1 is the socle J : m that the Gorenstein check has already computed.
+    """
+    A, _, S = _graded_gorenstein(J)
     ring = A.ring
     m = irrelevant_power(ring, 1)
     delta = nilpotency_index(A, m)
-    rungs = _ladder_rungs(
-        J, m, delta, lambda i: ideal_sum(J, irrelevant_power(ring, delta + 1 - i))
-    )
+    lhs = [J] + (colon_powers(S, m, delta - 1) if delta else [])
+    rungs = _ladder_rungs(lhs, lambda i: ideal_sum(J, irrelevant_power(ring, delta + 1 - i)))
     return LadderReport(delta, rungs, all(r.equal for r in rungs))
 
 

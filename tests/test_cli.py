@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from colonlab import Ideal, QQ, Ring, ideal_equal
+from colonlab import Ideal, InternalError, QQ, Ring, ideal_equal
+from colonlab import cli
 from colonlab.cli import main
 
 
@@ -275,3 +276,32 @@ def test_golden_json_output(capsys, case):
     assert code == case["exit_code"]
     out = re.sub(r'"timing_ms": [0-9.e+-]+', '"timing_ms": 0', out)
     assert out == json.dumps(case["document"], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("exc", [InternalError("broken invariant"), ZeroDivisionError("boom")])
+def test_unexpected_error_exits_3(capsys, monkeypatch, exc):
+    def crash(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "make_quotient", crash)
+    code, out, err = run(capsys, "hilbert", "--vars", "x", "--gens", "x^2")
+    assert code == 3 and out == ""
+    assert err.startswith(f"internal error: {type(exc).__name__}: {exc}\n")
+    assert "Traceback" in err  # kept for the bug report
+
+
+def test_keyboard_interrupt_is_not_an_internal_error(monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "make_quotient", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["hilbert", "--vars", "x", "--gens", "x^2"])
+
+
+def test_huge_quotient_exits_2(capsys):
+    code, out, err = run(
+        capsys, "hilbert", "--field", "F32003", "--vars", "x,y", "--gens", "x^100000,y^100000"
+    )
+    assert code == 2 and out == ""
+    assert "standard monomials" in err

@@ -8,6 +8,7 @@ import pytest
 
 from colonlab import (
     Ideal,
+    Lex,
     InternalError,
     PreconditionError,
     QQ,
@@ -29,7 +30,7 @@ from colonlab import (
     subspace_of_ideal,
     unit_ideal,
 )
-from colonlab.ideal_ops import _exact_divide
+from colonlab.ideal_ops import MAX_QUOTIENT_LENGTH, _exact_divide
 
 from conftest import F2, F32003, STORCH_GENS, make_ideal, random_monomial_ideal
 
@@ -159,6 +160,41 @@ def test_make_quotient_rejects_positive_dimension(r2):
     with pytest.raises(PreconditionError) as err:
         make_quotient(Ideal(r2, (r2.parse("x"),)))
     assert "'y'" in str(err.value)
+
+
+def box_standard_monomials(ideal):
+    """Standard monomials by filtering the whole exponent box, ascending."""
+    ring = ideal.ring
+    leads = [g.leading_exps for g in ideal.groebner_basis()]
+    bounds = [min(e[j] for e in leads if sum(e) == e[j]) for j in range(ring.nvars)]
+    box = [()]
+    for b in bounds:
+        box = [e + (a,) for e in box for a in range(b)]
+    std = [e for e in box if not any(all(x <= y for x, y in zip(lead, e)) for lead in leads)]
+    return tuple(sorted(std, key=ring.order.key))
+
+
+def test_make_quotient_walk_matches_box(corpus):
+    for name, ideal, _ in corpus:
+        assert make_quotient(ideal).standard_monomials == box_standard_monomials(ideal), name
+    lex = make_ideal(QQ, ("x", "y", "z"), ("x^2+y*z", "y^3", "z^2-x*y"), Lex())
+    assert make_quotient(lex).standard_monomials == box_standard_monomials(lex)
+
+
+def test_make_quotient_thin_staircase():
+    # A 1000 x 1000 box with 1999 standard monomials: the walk visits only those.
+    I = make_ideal(F32003, ("x", "y"), ("x^1000", "y^1000", "x*y"))
+    A = make_quotient(I)
+    assert A.length == 1999
+    expected = [(a, 0) for a in range(1000)] + [(0, b) for b in range(1, 1000)]
+    assert A.standard_monomials == tuple(sorted(expected, key=I.ring.order.key))
+
+
+def test_make_quotient_length_budget():
+    I = make_ideal(F32003, ("x", "y"), ("x^100000", "y^100000"))
+    with pytest.raises(PreconditionError) as err:
+        make_quotient(I)
+    assert f"more than {MAX_QUOTIENT_LENGTH} standard monomials" in str(err.value)
 
 
 def test_make_quotient_storch_length():

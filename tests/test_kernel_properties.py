@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colonlab import QQ, DegRevLex, Ideal, Lex, Ring, normal_form
-from colonlab.poly import mono_divides
+from colonlab import QQ, DegRevLex, Ideal, Lex, Ring, normal_form, s_polynomial
+from colonlab.groebner import _divisor, _s_pair
+from colonlab.poly import mono_divides, mono_lcm
 
 from conftest import F2, F5, F32003
 
@@ -147,3 +148,16 @@ def test_normal_form_remainder_is_reduced_and_congruent(field, data):
     for e, _ in r.iter_terms():
         assert not any(mono_divides(lead, e) for lead in leads)
     assert Ideal(ring, tuple(divisors)).reduce(f - r).is_zero
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_s_pair_from_entries_matches_s_polynomial(field, data):
+    ring = data.draw(rings(field))
+    f = data.draw(polys(ring).filter(bool)).monic()
+    g = data.draw(polys(ring).filter(bool)).monic()
+    lcm = mono_lcm(f.leading_exps, g.leading_exps)
+    pair = _s_pair(ring, _divisor(f), _divisor(g), lcm)
+    assert_canonical(pair)
+    assert pair == s_polynomial(f, g)
