@@ -36,19 +36,6 @@ from .theorems import (
     verify_symmetry,
 )
 
-_RING_COMMANDS = (
-    "gb",
-    "nf",
-    "colon",
-    "intersect",
-    "hilbert",
-    "socle",
-    "ladder",
-    "symmetry",
-    "equiv",
-    "corollary",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -57,13 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def ring_command(name, help_text, needs_second=False, needs_poly=False):
+    def ring_command(name, help_text, needs_poly=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--field", default=None, help="Q or F<p> (default F32003)")
         p.add_argument("--vars", default=None, help="comma-separated variables, e.g. x,y")
         p.add_argument("--order", default=None, help="degrevlex (default) or lex")
         p.add_argument("--gens", default=None, help="comma-separated generator list")
-        if needs_second or name in ("colon", "intersect", "hilbert", "equiv"):
+        if name in ("colon", "intersect", "hilbert", "equiv"):
             p.add_argument("--ideal2", default=None, help="second ideal (comma-separated)")
         if needs_poly:
             p.add_argument("--poly", default=None, help="polynomial to reduce")

@@ -4,6 +4,11 @@ Lengths are always standard-monomial counts against a reduced Groebner basis;
 no generating-function arithmetic. Powers of an ideal inside the quotient are
 tracked through normal-form-reduced generator sets, which leaves the image
 ideals unchanged while keeping generator growth bounded by the quotient length.
+
+The ideals J + I^k, k = 0..delta+1, are built once from that chain
+(_power_ideals). The filtration table reads their lengths (_filtration_table),
+and verify_main_equivalence compares its colon ladder with the same Ideal
+objects, so each of them computes its Groebner basis once.
 """
 
 from __future__ import annotations
@@ -58,13 +63,12 @@ def graded_hilbert(A: QuotientRing) -> HilbertTable:
     return HilbertTable(tuple(values), delta, KIND_GRADED)
 
 
-def _reduced_image_generators(A: QuotientRing, I: Ideal):
-    if I.ring != A.ring:
-        raise UsageError("ideal and quotient live in different rings")
+def _reduced_distinct(A: QuotientRing, polys):
+    """Normal forms modulo A's defining ideal, zeros and repeats dropped, in order."""
     gens = []
     seen = set()
-    for g in I.generators:
-        r = A.reduce(g)
+    for f in polys:
+        r = A.reduce(f)
         if r.is_zero or r.terms in seen:
             continue
         seen.add(r.terms)
@@ -79,7 +83,9 @@ def image_power_chain(A: QuotientRing, I: Ideal):
     to zero in A; an m-primary proper ideal always reaches zero within length(A)
     steps.
     """
-    base = _reduced_image_generators(A, I)
+    if I.ring != A.ring:
+        raise UsageError("ideal and quotient live in different rings")
+    base = _reduced_distinct(A, I.generators)
     if ideal_sum(A.defining, Ideal(A.ring, tuple(base))).is_unit:
         raise UsageError("ideal is the unit ideal in the quotient; a proper ideal is required")
     chain = []
@@ -90,16 +96,7 @@ def image_power_chain(A: QuotientRing, I: Ideal):
             raise PreconditionError(
                 "ideal is not nilpotent in the quotient (not m-primary)"
             )
-        nxt = []
-        seen = set()
-        for a in current:
-            for b in base:
-                r = A.reduce(a * b)
-                if r.is_zero or r.terms in seen:
-                    continue
-                seen.add(r.terms)
-                nxt.append(r)
-        current = nxt
+        current = _reduced_distinct(A, (a * b for a in current for b in base))
     return chain
 
 
@@ -108,21 +105,30 @@ def nilpotency_index(A: QuotientRing, I: Ideal) -> int:
     return len(image_power_chain(A, I))
 
 
-def filtration_hilbert(A: QuotientRing, I: Ideal) -> HilbertTable:
-    """The table H(I, i) = ell(I^i / I^(i+1)) for i = 0..delta."""
-    chain = image_power_chain(A, I)
-    delta = len(chain)
-    # ell(A / I^i) for i = 0..delta+1; the two ends are 0 and ell(A).
-    lengths = [0]
-    for gens in chain:
-        lengths.append(
-            length_of_quotient(ideal_sum(A.defining, Ideal(A.ring, tuple(gens))))
-        )
-    lengths.append(A.length)
+def _power_ideals(A: QuotientRing, chain):
+    """[J + I^k for k = 0..delta+1] from I's power chain: J + (1) first, J last."""
+    J, ring = A.defining, A.ring
+    return (
+        [ideal_sum(J, Ideal(ring, (ring.one,)))]
+        + [ideal_sum(J, Ideal(ring, tuple(gens))) for gens in chain]
+        + [J]
+    )
+
+
+def _filtration_table(A: QuotientRing, powers) -> HilbertTable:
+    """H(I, i) = ell(R/(J + I^(i+1))) - ell(R/(J + I^i)) over _power_ideals' list."""
+    # The two ends are known: ell(R/(1)) = 0 and ell(R/J) = ell(A).
+    lengths = [0] + [length_of_quotient(P) for P in powers[1:-1]] + [A.length]
+    delta = len(powers) - 2
     values = tuple(lengths[i + 1] - lengths[i] for i in range(delta + 1))
     if sum(values) != A.length:
         raise InternalError("filtration table does not sum to the quotient length")
     return HilbertTable(values, delta, KIND_FILTRATION)
+
+
+def filtration_hilbert(A: QuotientRing, I: Ideal) -> HilbertTable:
+    """The table H(I, i) = ell(I^i / I^(i+1)) for i = 0..delta."""
+    return _filtration_table(A, _power_ideals(A, image_power_chain(A, I)))
 
 
 def is_symmetric(table: HilbertTable) -> bool:

@@ -344,6 +344,20 @@ def subspace_intersect(V: Subspace, W: Subspace, field) -> Subspace:
     return subspace_from_vectors(inter, n, field)
 
 
+def _times(M: VectorSpaceModel, ops, V: Subspace) -> Subspace:
+    """The span of op(v) over the operators ops (sparse columns) and the rows v of V.
+
+    With ops the multiplications by a spanning set of W, this is the product W V.
+    """
+    p = M.field.p
+    zero = M.field.zero
+    ech = _Echelon(M.dim, M.field)
+    for op in ops:
+        for row in V.rows:
+            ech.insert(_apply_cols(op, list(row), p, zero))
+    return ech.snapshot()
+
+
 def oracle_power(M: VectorSpaceModel, V: Subspace, k: int) -> Subspace:
     """V^k as span of k-fold products; V^0 is the whole ring."""
     if type(k) is not int or k < 0:
@@ -353,15 +367,9 @@ def oracle_power(M: VectorSpaceModel, V: Subspace, k: int) -> Subspace:
     if k == 0:
         return M.full_space()
     ops = [_sparse_cols(M.operator_of(list(r))) for r in V.rows]
-    p = M.field.p
-    zero = M.field.zero
     current = V
     for _ in range(k - 1):
-        ech = _Echelon(M.dim, M.field)
-        for op in ops:
-            for row in current.rows:
-                ech.insert(_apply_cols(op, list(row), p, zero))
-        current = ech.snapshot()
+        current = _times(M, ops, current)
         if current.dim == 0:
             break
     return current
@@ -372,18 +380,12 @@ def oracle_filtration_hilbert(M: VectorSpaceModel, K: Ideal) -> HilbertTable:
     V = subspace_of_ideal(M, K)
     if V.dim == M.dim:
         raise UsageError("ideal is the unit ideal in the quotient; a proper ideal is required")
-    p = M.field.p
-    zero = M.field.zero
     ops = [_sparse_cols(M.operator_of(list(r))) for r in V.rows]
     dims = [M.dim]
     current = V
     while current.dim > 0:
         dims.append(current.dim)
-        ech = _Echelon(M.dim, M.field)
-        for op in ops:
-            for row in current.rows:
-                ech.insert(_apply_cols(op, list(row), p, zero))
-        current = ech.snapshot()
+        current = _times(M, ops, current)
         if len(dims) > M.dim + 1:
             raise PreconditionError(
                 "ideal is not nilpotent in the quotient (not m-primary)"

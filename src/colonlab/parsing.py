@@ -135,9 +135,9 @@ class _Parser:
             return self._coefficient(num, den, tok)
         if tok.kind == "IDENT":
             self.advance()
-            if tok.value not in self.ring._var_index:
+            index = self.ring._var_index.get(tok.value)
+            if index is None:
                 raise ParseError(f"unknown variable {tok.value!r}", tok.line, tok.col)
-            index = self.ring.var_index(tok.value)
             exponent = 1
             if self.peek().kind == "^":
                 self.advance()

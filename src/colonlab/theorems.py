@@ -11,6 +11,14 @@ colon by the i-th power because (I : A) : B = I : AB. The complete-intersection
 ladder and the corollary step by m; the Gorenstein-quotient ladder steps by
 J + I, since J : (J + I^i) = J : I^i. The corollary takes rung 1 from the
 socle J : m that its Gorenstein check computes.
+
+The Gorenstein-quotient ladder and its filtration table share one list of
+power ideals J + I^k (hilbert._power_ideals), built from one power chain: the
+step is J + I, the right-hand side of rung i is J + I^(delta+1-i), and the
+table reads the lengths of the same Ideal objects, so no basis is computed
+twice. The corollary reads delta off its graded table: J is homogeneous, so A
+is standard graded, m^i is the sum of the pieces of degree >= i, and the
+largest i with m^i != 0 is the top degree.
 """
 
 from __future__ import annotations
@@ -18,16 +26,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InternalError, PreconditionError, UsageError
+from .errors import PreconditionError, UsageError
 from .fields import PrimeField
 from .groebner import Ideal, ideal_equal
 from .hilbert import (
     HilbertTable,
-    filtration_hilbert,
+    _filtration_table,
+    _power_ideals,
     graded_hilbert,
     image_power_chain,
     is_symmetric,
-    nilpotency_index,
 )
 from .ideal_ops import (
     QuotientRing,
@@ -146,28 +154,17 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
     """
     if not is_gorenstein(A):
         raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
-    J = A.defining
-    ring = A.ring
     try:
         chain = image_power_chain(A, I)
     except UsageError as exc:
         raise PreconditionError(str(exc)) from None
     delta = len(chain)
-
-    def power_image(k: int) -> Ideal:
-        if k == 0:
-            return ideal_sum(J, Ideal(ring, (ring.one,)))
-        if k > delta:
-            return J
-        return ideal_sum(J, Ideal(ring, tuple(chain[k - 1])))
-
+    powers = _power_ideals(A, chain)  # powers[k] = J + I^k
     rungs = _ladder_rungs(
-        colon_powers(J, power_image(1), delta), lambda i: power_image(delta + 1 - i)
+        colon_powers(A.defining, powers[1], delta), lambda i: powers[delta + 1 - i]
     )
     ladder_holds = all(r.equal for r in rungs)
-    table = filtration_hilbert(A, I)
-    if table.delta != delta:
-        raise InternalError("filtration table disagrees with the power chain")
+    table = _filtration_table(A, powers)
     symmetric = is_symmetric(table)
     return EquivalenceReport(
         delta, ladder_holds, table, symmetric, ladder_holds == symmetric, rungs
@@ -178,11 +175,12 @@ def verify_corollary(J: Ideal) -> LadderReport:
     """Check 0 : m^i = m^(delta+1-i) for i = 0..delta in a graded Gorenstein quotient.
 
     Rung 1 is the socle J : m that the Gorenstein check has already computed.
+    delta is the top degree of the graded table (see the module docstring).
     """
-    A, _, S = _graded_gorenstein(J)
+    A, table, S = _graded_gorenstein(J)
     ring = A.ring
     m = irrelevant_power(ring, 1)
-    delta = nilpotency_index(A, m)
+    delta = table.delta
     lhs = [J] + (colon_powers(S, m, delta - 1) if delta else [])
     rungs = _ladder_rungs(lhs, lambda i: ideal_sum(J, irrelevant_power(ring, delta + 1 - i)))
     return LadderReport(delta, rungs, all(r.equal for r in rungs))

@@ -3,6 +3,7 @@
 Each polynomial operation is compared with a dict reference built from the
 field's checked per-operation methods, and every result must hold canonical
 coefficients: nonzero ints in [0, p) over F_p, nonzero Fractions over Q.
+Printing a polynomial and parsing the text back gives the same polynomial.
 """
 
 from __future__ import annotations
@@ -161,3 +162,13 @@ def test_s_pair_from_entries_matches_s_polynomial(field, data):
     pair = _s_pair(ring, _divisor(f), _divisor(g), lcm)
     assert_canonical(pair)
     assert pair == s_polynomial(f, g)
+
+
+@FIELDS
+@pytest.mark.parametrize("order", [DegRevLex(), Lex()], ids=["degrevlex", "lex"])
+@PROPERTY
+@given(data=st.data())
+def test_parse_inverts_print(field, order, data):
+    ring = Ring(("x", "y"), field, order)
+    f = data.draw(polys(ring))
+    assert ring.parse(str(f)) == f

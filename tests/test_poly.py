@@ -84,6 +84,20 @@ def test_parse_parentheses_and_juxtaposition(r2_q):
     assert r2_q.parse("2x") == r2_q.parse("2*x")
 
 
+def test_parse_juxtaposition_without_star(r2_q):
+    assert r2_q.parse("(x+y)(x-y)") == r2_q.parse("x^2-y^2")
+    assert r2_q.parse("x y") == r2_q.parse("x*y")
+    assert r2_q.parse("2 x^2 y") == r2_q.parse("2*x^2*y")
+    assert r2_q.parse("1/2(x+1)") == r2_q.parse("1/2*x + 1/2")
+
+
+def test_parse_leading_sign(r2_q):
+    assert r2_q.parse("-x+y") == r2_q.parse("y - x")
+    assert r2_q.parse("+x") == r2_q.parse("x")
+    assert r2_q.parse("-(x+y)y") == r2_q.parse("-x*y - y^2")
+    assert r2_q.parse("(-x)") == -r2_q.parse("x")
+
+
 def test_parse_fraction_coefficient_in_prime_field():
     ring = Ring(("x",), F5)
     # 1/2 = inverse of 2 = 3 in F_5.
