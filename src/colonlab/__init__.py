@@ -55,7 +55,6 @@ from .theorems import (
     random_complete_intersection,
     storch_counterexample,
     storch_ideal,
-    storch_ring,
     verify_corollary,
     verify_macaulay_ladder,
     verify_main_equivalence,

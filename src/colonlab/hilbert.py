@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionError, UsageError
 from .groebner import Ideal
-from .ideal_ops import QuotientRing, ideal_sum, make_quotient
+from .ideal_ops import QuotientRing, _dedup_nonzero, ideal_sum, make_quotient
 
 KIND_GRADED = "graded"
 KIND_FILTRATION = "filtration"
@@ -63,19 +63,6 @@ def graded_hilbert(A: QuotientRing) -> HilbertTable:
     return HilbertTable(tuple(values), delta, KIND_GRADED)
 
 
-def _reduced_distinct(A: QuotientRing, polys):
-    """Normal forms modulo A's defining ideal, zeros and repeats dropped, in order."""
-    gens = []
-    seen = set()
-    for f in polys:
-        r = A.reduce(f)
-        if r.is_zero or r.terms in seen:
-            continue
-        seen.add(r.terms)
-        gens.append(r)
-    return gens
-
-
 def image_power_chain(A: QuotientRing, I: Ideal):
     """Reduced generator sets of the images of I, I^2, ... until the image is zero.
 
@@ -85,7 +72,7 @@ def image_power_chain(A: QuotientRing, I: Ideal):
     """
     if I.ring != A.ring:
         raise UsageError("ideal and quotient live in different rings")
-    base = _reduced_distinct(A, I.generators)
+    base = _dedup_nonzero(A.reduce(f) for f in I.generators)
     if ideal_sum(A.defining, Ideal(A.ring, tuple(base))).is_unit:
         raise UsageError("ideal is the unit ideal in the quotient; a proper ideal is required")
     chain = []
@@ -96,7 +83,7 @@ def image_power_chain(A: QuotientRing, I: Ideal):
             raise PreconditionError(
                 "ideal is not nilpotent in the quotient (not m-primary)"
             )
-        current = _reduced_distinct(A, (a * b for a in current for b in base))
+        current = _dedup_nonzero(A.reduce(a * b) for a in current for b in base)
     return chain
 
 

@@ -13,6 +13,12 @@ rung recurrence I : J^i = (I : J^(i-1)) : J (Cox, Little and O'Shea, Ideals,
 Varieties, and Algorithms, 4.4), so each rung costs one colon by J's
 generators rather than by all of J^i's. Ideals of a quotient ring R/J are
 represented by ambient ideals; the image is what is meant.
+
+Both colon paths work in a derived ring: elimination in k[t, x] under Elim
+(the one elimination order), the variable colon in k[x] with x_j moved last.
+One helper, _carry, moves a polynomial between related rings by an exponent
+map and re-sorts its terms; the coefficients are already canonical and are
+not re-checked.
 """
 
 from __future__ import annotations
@@ -96,12 +102,12 @@ def irrelevant_power(ring: Ring, i: int) -> Ideal:
     return Ideal(ring, tuple(ring.monomial(e) for e in monomials_of_degree(ring, i)))
 
 
-def _to_extended(ring_ext: Ring, f: Polynomial) -> Polynomial:
-    return ring_ext.from_terms(((0,) + e, c) for e, c in f.iter_terms())
-
-
-def _from_extended(ring: Ring, f: Polynomial) -> Polynomial:
-    return ring.from_terms((e[1:], c) for e, c in f.iter_terms())
+def _carry(ring: Ring, f: Polynomial, move) -> Polynomial:
+    """f in a related ring: exponents e become move(e), one-to-one, terms re-sorted."""
+    key = ring.order.key
+    terms = [(key(move(e)), c) for e, c in f.iter_terms()]
+    terms.sort(reverse=True)
+    return Polynomial(ring, tuple(terms))
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -118,11 +124,11 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     ring_ext = ring.with_elim_variable()
     t = ring_ext.variable(0)
     one_minus_t = ring_ext.one - t
-    gens = [t * _to_extended(ring_ext, f) for f in gb_i]
-    gens += [one_minus_t * _to_extended(ring_ext, g) for g in gb_j]
+    gens = [t * _carry(ring_ext, f, lambda e: (0,) + e) for f in gb_i]
+    gens += [one_minus_t * _carry(ring_ext, g, lambda e: (0,) + e) for g in gb_j]
     basis = Ideal(ring_ext, gens).groebner_basis()
-    kept = [g for g in basis if g.leading_exps[0] == 0]
-    contracted = [_from_extended(ring, g) for g in kept]
+    # Under Elim a t-free leading monomial means a t-free polynomial.
+    contracted = [_carry(ring, g, lambda e: e[1:]) for g in basis if g.leading_exps[0] == 0]
     contracted.sort(key=lambda g: g.leading_key, reverse=True)
     return Ideal(ring, tuple(contracted))
 
@@ -146,14 +152,6 @@ def _exact_divide(f: Polynomial, d: Polynomial) -> Polynomial:
     return ring.from_terms(quotient_terms)
 
 
-def _relabel(ring: Ring, f: Polynomial, source) -> Polynomial:
-    """f with variable source[i] renamed to ring's i-th variable, in ring's order."""
-    key = ring.order.key
-    terms = [(key(tuple(e[s] for s in source)), c) for e, c in f.iter_terms()]
-    terms.sort(reverse=True)
-    return Polynomial(ring, tuple(terms))
-
-
 def _colon_variable(I: Ideal, j: int) -> Ideal:
     """I : x_j for homogeneous I, without elimination (Bayer-Stillman).
 
@@ -170,7 +168,8 @@ def _colon_variable(I: Ideal, j: int) -> Ideal:
         source = tuple(k for k in range(n) if k != j) + (j,)
         work_ring = Ring(tuple(ring.variables[k] for k in source), ring.field, DegRevLex())
         basis = Ideal(
-            work_ring, tuple(_relabel(work_ring, g, source) for g in basis)
+            work_ring,
+            tuple(_carry(work_ring, g, lambda e: tuple(e[k] for k in source)) for g in basis),
         ).groebner_basis()
         back = tuple(source.index(k) for k in range(n))
     shift = work_ring.order.key((0,) * (n - 1) + (1,))
@@ -181,7 +180,7 @@ def _colon_variable(I: Ideal, j: int) -> Ideal:
                 work_ring,
                 tuple((tuple(a - b for a, b in zip(k, shift)), c) for k, c in g.terms),
             )
-        gens.append(g if back is None else _relabel(ring, g, back))
+        gens.append(g if back is None else _carry(ring, g, lambda e: tuple(e[k] for k in back)))
     return Ideal(ring, tuple(gens))
 
 
@@ -250,9 +249,6 @@ class QuotientRing:
 
     def reduce(self, f: Polynomial) -> Polynomial:
         return self.defining.reduce(f)
-
-    def maximal_ideal(self) -> Ideal:
-        return irrelevant_power(self.ring, 1)
 
     def __repr__(self):
         return f"QuotientRing({self.ring!r} / {self.defining!r}, length {self.length})"

@@ -69,6 +69,10 @@ def _tokenize(text: str):
     return tokens
 
 
+def _found(tok: _Token) -> str:
+    return "end of input" if tok.kind == "END" else repr(tok.value)
+
+
 class _Parser:
     def __init__(self, tokens, ring: Ring):
         self.tokens = tokens
@@ -87,7 +91,8 @@ class _Parser:
     def expect(self, kind) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.line, tok.col)
+            wanted = "an integer" if kind == "INT" else repr(kind)
+            raise ParseError(f"expected {wanted}, found {_found(tok)}", tok.line, tok.col)
         return self.advance()
 
     def parse(self) -> Polynomial:
@@ -158,7 +163,7 @@ class _Parser:
             self.depth -= 1
             self.expect(")")
             return poly
-        raise ParseError(f"expected a term, found {tok.value!r}", tok.line, tok.col)
+        raise ParseError(f"expected a term, found {_found(tok)}", tok.line, tok.col)
 
     def _coefficient(self, num: int, den: int, tok: _Token) -> Polynomial:
         field = self.ring.field

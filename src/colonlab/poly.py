@@ -4,6 +4,10 @@ Monomials are exponent tuples. Each order maps an exponent tuple to a sort key
 that compares with native tuple comparison and is additive under monomial
 multiplication (key(a*b) = key(a) + key(b) componentwise), which keeps the term
 merges in the Groebner engine free of per-comparison callbacks.
+
+The orders are DegRevLex, Lex and Elim. Elim is the one elimination order: it
+ranks the first variable above the rest, and only the extended rings that
+elimination builds (Ring.with_elim_variable) use it.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 import re
 
 from .errors import UsageError
-
-Exponents = tuple
 
 
 class DegRevLex:
@@ -60,48 +62,30 @@ class Lex:
 
 
 class Elim:
-    """Block order: the first k variables form a dominant degrevlex block.
+    """The elimination order: degree in the first variable, then degrevlex on the rest.
 
-    Any monomial involving one of the first k variables is greater than every
-    monomial supported on the remaining variables, which is what elimination
-    needs.
+    Any monomial involving the first variable is greater than every monomial
+    supported on the remaining ones, which is what elimination needs.
     """
 
-    __slots__ = ("k",)
-
-    def __init__(self, k: int):
-        if type(k) is not int or k < 1:
-            raise UsageError(f"elimination block size must be a positive int, got {k!r}")
-        self.k = k
-
-    @property
-    def name(self):
-        return f"elim({self.k})"
+    __slots__ = ()
+    name = "elim"
 
     def key(self, exps):
-        k = self.k
-        head, tail = exps[:k], exps[k:]
-        return (
-            (sum(head),)
-            + tuple(-e for e in reversed(head))
-            + (sum(tail),)
-            + tuple(-e for e in reversed(tail))
-        )
+        tail = exps[1:]
+        return (exps[0], sum(tail)) + tuple(-e for e in reversed(tail))
 
     def exps(self, key):
-        k = self.k
-        head = tuple(-e for e in reversed(key[1 : k + 1]))
-        tail = tuple(-e for e in reversed(key[k + 2 :]))
-        return head + tail
+        return (key[0],) + tuple(-e for e in reversed(key[2:]))
 
     def __eq__(self, other):
-        return type(other) is Elim and other.k == self.k
+        return type(other) is Elim
 
     def __hash__(self):
-        return hash(("elim", self.k))
+        return hash("elim")
 
     def __repr__(self):
-        return f"Elim({self.k})"
+        return "Elim()"
 
 
 def order_from_name(name: str):
@@ -143,10 +127,6 @@ def mono_quotient(a, b):
 
 def mono_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def mono_degree(a) -> int:
-    return sum(a)
 
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -226,13 +206,13 @@ class Ring:
         return parse_polynomial(text, self)
 
     def with_elim_variable(self) -> "Ring":
-        """Ring with a fresh dominant variable (index 0) prepended under Elim(1)."""
+        """Ring with a fresh dominant variable (index 0) prepended under Elim()."""
         name = "t"
         counter = 0
         while name in self._var_index:
             name = f"t{counter}"
             counter += 1
-        return Ring((name,) + self.variables, self.field, Elim(1))
+        return Ring((name,) + self.variables, self.field, Elim())
 
     def __eq__(self, other):
         return (
@@ -321,13 +301,6 @@ class Polynomial:
         for k, c in self.terms:
             yield exps(k), c
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        exps = self.ring.order.exps
-        return max(sum(exps(k)) for k, _ in self.terms)
-
     def is_homogeneous(self):
         """(True, degree) if all terms share one total degree; zero is (True, None)."""
         if not self.terms:
@@ -394,18 +367,6 @@ class Polynomial:
                 items.append((k, c))
         items.sort(reverse=True)
         return Polynomial(self.ring, tuple(items))
-
-    def __pow__(self, e: int):
-        if type(e) is not int or e < 0:
-            raise UsageError(f"polynomial exponent must be a nonnegative int, got {e!r}")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def monic(self) -> "Polynomial":
         if not self.terms:

@@ -200,12 +200,8 @@ STORCH_VARIABLES = ("x", "y")
 STORCH_GENERATORS = ("x^2+y^3", "x^2+x*y+y^3")
 
 
-def storch_ring() -> Ring:
-    return Ring(STORCH_VARIABLES, STORCH_FIELD)
-
-
-def storch_ideal(ring: Ring | None = None) -> Ideal:
-    ring = ring if ring is not None else storch_ring()
+def storch_ideal() -> Ideal:
+    ring = Ring(STORCH_VARIABLES, STORCH_FIELD)
     return Ideal(ring, tuple(ring.parse(s) for s in STORCH_GENERATORS))
 
 
@@ -216,32 +212,32 @@ def storch_counterexample() -> EquivalenceReport:
     that the fixture is Gorenstein): the filtration table is (1, 2, 1, 1), it
     is not symmetric, and the ladder fails (exactly at i = 2), consistently.
     """
-    ring = storch_ring()
-    A = make_quotient(storch_ideal(ring))
-    return verify_main_equivalence(A, irrelevant_power(ring, 1))
+    A = make_quotient(storch_ideal())
+    return verify_main_equivalence(A, irrelevant_power(A.ring, 1))
 
 
-def random_complete_intersection(rng: random.Random, nvars: int, max_degree: int = 4,
-                                 field=None, max_attempts: int = 100):
-    """Random homogeneous generators of an Artinian complete intersection.
+RANDOM_CI_FIELD = PrimeField(32003)
+RANDOM_CI_ATTEMPTS = 100
+
+
+def random_complete_intersection(rng: random.Random, nvars: int, max_degree: int = 4):
+    """Random homogeneous generators of an Artinian complete intersection over F32003.
 
     Samples dense homogeneous polynomials of random degrees in 1..max_degree
-    with uniform coefficients and rejects until the Artinian check passes.
-    Returns (generators, degrees).
+    with uniform coefficients and rejects until the Artinian check passes,
+    giving up after RANDOM_CI_ATTEMPTS samples. Returns (generators, degrees).
     """
-    if field is None:
-        field = PrimeField(32003)
     names = ("x", "y", "z", "w")[:nvars] if nvars <= 4 else tuple(
         f"x{i + 1}" for i in range(nvars)
     )
-    ring = Ring(names, field)
+    ring = Ring(names, RANDOM_CI_FIELD)
     degrees = [rng.randint(1, max_degree) for _ in range(nvars)]
-    for _ in range(max_attempts):
+    for _ in range(RANDOM_CI_ATTEMPTS):
         gens = []
         for d in degrees:
             while True:
                 poly = ring.from_terms(
-                    (e, field.random_element(rng)) for e in monomials_of_degree(ring, d)
+                    (e, RANDOM_CI_FIELD.random_element(rng)) for e in monomials_of_degree(ring, d)
                 )
                 if not poly.is_zero:
                     gens.append(poly)
@@ -252,5 +248,5 @@ def random_complete_intersection(rng: random.Random, nvars: int, max_degree: int
             continue
         return gens, degrees
     raise PreconditionError(
-        f"failed to sample an Artinian complete intersection in {max_attempts} attempts"
+        f"failed to sample an Artinian complete intersection in {RANDOM_CI_ATTEMPTS} attempts"
     )

@@ -1,13 +1,21 @@
-"""Monomial order laws: totality, multiplicativity, well-ordering, elimination."""
+"""Monomial order laws: totality, multiplicativity, well-ordering, elimination.
+
+Every order's sort key must be invertible (exps(key(e)) == e) and additive
+(key(a*b) == key(a) + key(b) componentwise), which the term kernels rely on.
+"""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colonlab import UsageError, compare
 from colonlab.poly import DegRevLex, Elim, Lex, mono_mul
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
 
 def test_degrevlex_equal_degree_tiebreak():
@@ -16,13 +24,13 @@ def test_degrevlex_equal_degree_tiebreak():
 
 
 def test_reflexivity():
-    for order in (DegRevLex(), Lex(), Elim(1)):
+    for order in (DegRevLex(), Lex(), Elim()):
         assert compare(order, (3, 1, 2), (3, 1, 2)) == 0
 
 
 def test_elimination_block_dominates():
-    # vars t, x, y under Elim(1): t beats x^2*y^5.
-    assert compare(Elim(1), (1, 0, 0), (0, 2, 5)) == 1
+    # vars t, x, y under Elim(): t beats x^2*y^5.
+    assert compare(Elim(), (1, 0, 0), (0, 2, 5)) == 1
 
 
 def test_length_mismatch_is_usage_error():
@@ -36,8 +44,8 @@ def test_lex_first_variable_dominates():
 
 @pytest.mark.parametrize(
     "order,nvars",
-    [(DegRevLex(), 3), (Lex(), 3), (Elim(1), 3), (Elim(2), 4)],
-    ids=["degrevlex", "lex", "elim1", "elim2"],
+    [(DegRevLex(), 3), (Lex(), 3), (Elim(), 3)],
+    ids=["degrevlex", "lex", "elim1"],
 )
 def test_order_laws_on_random_triples(order, nvars):
     rng = random.Random(42)
@@ -65,8 +73,40 @@ def test_order_laws_on_random_triples(order, nvars):
 
 def test_elim_property_random():
     rng = random.Random(43)
-    order = Elim(1)
+    order = Elim()
     for _ in range(2000):
         with_t = (rng.randint(1, 5),) + tuple(rng.randint(0, 8) for _ in range(2))
         without_t = (0,) + tuple(rng.randint(0, 8) for _ in range(2))
         assert compare(order, with_t, without_t) == 1
+
+
+def exponent_pairs():
+    """Two exponent tuples of one length in 1..4."""
+    def pair(n):
+        exps = st.tuples(*[st.integers(0, 9)] * n)
+        return st.tuples(exps, exps)
+
+    return st.integers(1, 4).flatmap(pair)
+
+
+@pytest.mark.parametrize("order", [DegRevLex(), Lex(), Elim()], ids=lambda o: o.name)
+@PROPERTY
+@given(pair=exponent_pairs())
+def test_key_is_invertible_and_additive(order, pair):
+    a, b = pair
+    assert order.exps(order.key(a)) == a
+    assert order.key(mono_mul(a, b)) == mono_mul(order.key(a), order.key(b))
+
+
+def test_elim_matches_reference_order():
+    # Degree in the first variable first, then degrevlex on the rest.
+    def reference(e):
+        return (e[0],) + DegRevLex().key(e[1:])
+
+    rng = random.Random(44)
+    for _ in range(5000):
+        n = rng.randint(1, 4)
+        a = tuple(rng.randint(0, 3) for _ in range(n))
+        b = tuple(rng.randint(0, 3) for _ in range(n))
+        ra, rb = reference(a), reference(b)
+        assert compare(Elim(), a, b) == (ra > rb) - (ra < rb)

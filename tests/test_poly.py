@@ -119,6 +119,14 @@ def test_parse_errors_carry_location():
         ring.parse("x + $")
     with pytest.raises(ParseError):
         ring.parse("(x + y")
+    # End of input is named as such, and an integer is asked for in words.
+    for text, col in (("", 1), ("x+", 3), ("(x+y", 5), ("x^", 3), ("2/", 3)):
+        with pytest.raises(ParseError) as err:
+            ring.parse(text)
+        message = str(err.value)
+        assert "end of input" in message
+        assert "None" not in message and "'INT'" not in message
+        assert (err.value.line, err.value.col) == (1, col)
 
 
 def test_unknown_variable_is_parse_error(r2_q):
