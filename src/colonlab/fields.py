@@ -47,7 +47,48 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
+class _Field:
+    """The checked per-operation arithmetic both fields share.
+
+    Every operand passes the subclass's `check()`; results are reduced with
+    `% p` when the field has a modulus and stay exact Fractions when it has none.
+    """
+
+    __slots__ = ()
+
+    def _canon(self, x):
+        return x if self.p is None else x % self.p
+
+    def add(self, a, b):
+        self.check(a)
+        self.check(b)
+        return self._canon(a + b)
+
+    def sub(self, a, b):
+        self.check(a)
+        self.check(b)
+        return self._canon(a - b)
+
+    def mul(self, a, b):
+        self.check(a)
+        self.check(b)
+        return self._canon(a * b)
+
+    def neg(self, a):
+        self.check(a)
+        return self._canon(-a)
+
+    def inv(self, a):
+        self.check(a)
+        if a == 0:
+            raise ZeroDivisionError(f"inversion of zero in {self.name}")
+        return 1 / a if self.p is None else pow(a, -1, self.p)
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+
+class PrimeField(_Field):
     """F_p for a prime 2 <= p < 2^31; elements are ints in [0, p)."""
 
     __slots__ = ("p",)
@@ -88,34 +129,6 @@ class PrimeField:
         if type(a) is not int or not 0 <= a < self.p:
             raise UsageError(f"{a!r} is not an element of {self.name}")
 
-    def add(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        self.check(a)
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        self.check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"inversion of zero in {self.name}")
-        return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def random_element(self, rng) -> int:
         return rng.randrange(self.p)
 
@@ -129,7 +142,7 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class RationalField:
+class RationalField(_Field):
     """Q with elements as `fractions.Fraction` (lowest terms, positive denominator)."""
 
     __slots__ = ()
@@ -158,34 +171,6 @@ class RationalField:
         if type(a) is not Fraction:
             raise UsageError(f"{a!r} is not an element of Q")
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        self.check(a)
-        self.check(b)
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        self.check(a)
-        self.check(b)
-        return a - b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        self.check(a)
-        self.check(b)
-        return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        self.check(a)
-        return -a
-
-    def inv(self, a: Fraction) -> Fraction:
-        self.check(a)
-        if a == 0:
-            raise ZeroDivisionError("inversion of zero in Q")
-        return 1 / a
-
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        return self.mul(a, self.inv(b))
-
     def random_element(self, rng) -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
@@ -206,6 +191,7 @@ def field_from_name(name: str):
     """Map "Q" or "F<p>" to a field instance."""
     if name == "Q":
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
-        return PrimeField(int(name[1:]))
+    digits = name[1:]
+    if name.startswith("F") and digits.isascii() and digits.isdigit():
+        return PrimeField(int(digits))
     raise UsageError(f"unknown field {name!r}; expected 'Q' or 'F<p>'")

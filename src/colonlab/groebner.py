@@ -108,7 +108,12 @@ def normal_form(f: Polynomial, G) -> Polynomial:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S(f, g) = (lcm/lt(f)) f - (lcm/lt(g)) g; the leading terms cancel."""
+    """S(f, g) = (lcm/lt(f)) f - (lcm/lt(g)) g; the leading terms cancel.
+
+    Buchberger forms its pairs with _s_pair from the reducer entries; this is
+    the reference that tests compare _s_pair with and use in Buchberger's
+    criterion (every S-polynomial of a basis reduces to zero).
+    """
     if f.is_zero or g.is_zero:
         raise UsageError("s_polynomial needs nonzero inputs")
     f._require_same_ring(g)
@@ -283,6 +288,7 @@ class Ideal:
 
 
 def ideal_membership(f: Polynomial, I: Ideal) -> bool:
+    """f in I, by reduction against I's basis; tests use it as the reference containment check."""
     return I.reduce(f).is_zero
 
 

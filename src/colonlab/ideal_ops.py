@@ -61,12 +61,22 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
+    """IJ from all products of generators.
+
+    The verifiers build powers through hilbert's power chain; tests use this as
+    the reference product, as in (I : J) J <= I and the filtration lengths.
+    """
     _require_same_ring(I, J)
     gens = [f * g for f in I.generators for g in J.generators]
     return Ideal(I.ring, _dedup_nonzero(gens))
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
+    """I^k as a k-fold product of generators; I^0 is the unit ideal.
+
+    Tests use it as the reference power that the ladders' right-hand sides and
+    the oracle's subspace powers are checked against.
+    """
     if type(k) is not int or k < 0:
         raise UsageError(f"ideal power exponent must be a nonnegative int, got {k!r}")
     if k == 0:

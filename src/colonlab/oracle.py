@@ -14,13 +14,9 @@ from .hilbert import KIND_FILTRATION, HilbertTable
 from .ideal_ops import QuotientRing
 
 
-def _sparse_cols(mat):
-    """Column-major nonzero structure of a row-major matrix."""
-    n = len(mat)
-    cols = []
-    for c in range(n):
-        cols.append(tuple((r, mat[r][c]) for r in range(n) if mat[r][c] != 0))
-    return tuple(cols)
+def _sparse(columns):
+    """The nonzero (row, entry) pairs of each column."""
+    return tuple(tuple((r, x) for r, x in enumerate(col) if x != 0) for col in columns)
 
 
 def _apply_cols(cols, vec, p, zero):
@@ -45,10 +41,24 @@ def _mat_mul(a, b, p):
     return out
 
 
+def _residual(rows, pivots, vec, p):
+    """vec reduced against reduced-row-echelon rows with these pivot columns."""
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f == 0:
+            continue
+        if p is None:
+            v = [x - f * y for x, y in zip(v, row)]
+        else:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return v
+
+
 class _Echelon:
     """Mutable reduced-row-echelon accumulator with exact field arithmetic.
 
-    Unlike the other kernels, residual and insert keep a separate F_p list
+    Unlike the other kernels, _residual and insert keep a separate F_p list
     comprehension beside the Q one: folding the modulus into one pass per
     vector measured about 6% slower on the oracle-fp benchmark workload.
     """
@@ -62,22 +72,9 @@ class _Echelon:
         self.field = field
         self.p = field.p
 
-    def residual(self, vec):
-        v = list(vec)
-        p = self.p
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
-            if f == 0:
-                continue
-            if p is None:
-                v = [x - f * y for x, y in zip(v, row)]
-            else:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        return v
-
     def insert(self, vec) -> bool:
         """Reduce vec against the basis; absorb it if independent."""
-        v = self.residual(vec)
+        v = _residual(self.rows, self.pivots, vec, self.p)
         pivot = next((c for c, x in enumerate(v) if x != 0), None)
         if pivot is None:
             return False
@@ -121,10 +118,7 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, vec, field) -> bool:
-        ech = _Echelon(self.ncols, field)
-        ech.rows = [list(r) for r in self.rows]
-        ech.pivots = list(self.pivots)
-        return all(x == 0 for x in ech.residual(vec))
+        return all(x == 0 for x in _residual(self.rows, self.pivots, vec, field.p))
 
     def __eq__(self, other):
         return (
@@ -159,7 +153,7 @@ class VectorSpaceModel:
         self.basis = basis
         self.index = index
         self.mats = mats
-        self.cols = tuple(_sparse_cols(mat) for mat in mats)
+        self.cols = tuple(_sparse(zip(*mat)) for mat in mats)
         self.steps = steps
 
     @property
@@ -170,14 +164,7 @@ class VectorSpaceModel:
         """Coordinates of the image of an ambient polynomial."""
         if f.ring != self.ring:
             raise UsageError("polynomial lives in a different ring")
-        nf = self.quotient.reduce(f)
-        v = [self.field.zero] * self.dim
-        for e, c in nf.iter_terms():
-            try:
-                v[self.index[e]] = c
-            except KeyError:  # pragma: no cover - normal forms are standard
-                raise InternalError(f"non-standard monomial {e} in a normal form") from None
-        return v
+        return _coords(self.quotient.reduce(f), self.index, self.field.zero)
 
     def full_space(self) -> Subspace:
         one = self.field.one
@@ -189,6 +176,7 @@ class VectorSpaceModel:
         return Subspace(rows, tuple(range(self.dim)), self.dim)
 
     def zero_space(self) -> Subspace:
+        """The zero subspace; tests use it as the reference input 0 whose annihilator is A."""
         return Subspace((), (), self.dim)
 
     def apply(self, var: int, vec) -> list:
@@ -196,7 +184,7 @@ class VectorSpaceModel:
         return _apply_cols(self.cols[var], vec, self.field.p, self.field.zero)
 
     def operator_of(self, vec) -> list:
-        """Row-major matrix of multiplication by the element with these coordinates.
+        """Columns of multiplication by the element with these coordinates.
 
         Column r is b_r * vec, built by walking the division-closed basis
         (each basis monomial is a variable times an earlier one).
@@ -206,7 +194,18 @@ class VectorSpaceModel:
         for r in range(1, self.dim):
             var, parent = self.steps[r]
             columns[r] = self.apply(var, columns[parent])
-        return [[columns[c][r] for c in range(self.dim)] for r in range(self.dim)]
+        return columns
+
+
+def _coords(nf, index, zero) -> list:
+    """Coordinates of a normal form over the standard monomials numbered by index."""
+    v = [zero] * len(index)
+    for e, c in nf.iter_terms():
+        try:
+            v[index[e]] = c
+        except KeyError:  # pragma: no cover - normal forms are standard
+            raise InternalError(f"non-standard monomial {e} in a normal form") from None
+    return v
 
 
 def build_model(A: QuotientRing) -> VectorSpaceModel:
@@ -226,29 +225,19 @@ def build_model(A: QuotientRing) -> VectorSpaceModel:
     nf_cache = {}
 
     def coords_of_monomial(exps):
-        if exps in index:
-            v = [zero] * dim
-            v[index[exps]] = field.one
-            return v
-        cached = nf_cache.get(exps)
-        if cached is not None:
-            return cached
-        nf = normal_form(ring.monomial(exps), gb)
-        v = [zero] * dim
-        for e, c in nf.iter_terms():
-            v[index[e]] = c
-        nf_cache[exps] = v
+        v = nf_cache.get(exps)
+        if v is None:
+            f = ring.monomial(exps)
+            v = nf_cache[exps] = _coords(f if exps in index else normal_form(f, gb), index, zero)
         return v
 
     mats = []
     for i in range(n):
-        mat = [[zero] * dim for _ in range(dim)]
-        for j, e in enumerate(basis):
-            shifted = tuple(x + 1 if t == i else x for t, x in enumerate(e))
-            col = coords_of_monomial(shifted)
-            for r in range(dim):
-                mat[r][j] = col[r]
-        mats.append(mat)
+        columns = [
+            coords_of_monomial(tuple(x + 1 if t == i else x for t, x in enumerate(e)))
+            for e in basis
+        ]
+        mats.append([list(row) for row in zip(*columns)])
     for i in range(n):
         for j in range(i + 1, n):
             if _mat_mul(mats[i], mats[j], p) != _mat_mul(mats[j], mats[i], p):
@@ -287,7 +276,7 @@ def subspace_of_ideal(M: VectorSpaceModel, K: Ideal) -> Subspace:
 def _is_stable(M: VectorSpaceModel, V: Subspace) -> bool:
     for row in V.rows:
         for var in range(len(M.mats)):
-            if not V.contains(M.apply(var, list(row)), M.field):
+            if not V.contains(M.apply(var, row), M.field):
                 return False
     return True
 
@@ -324,13 +313,16 @@ def annihilator(M: VectorSpaceModel, V: Subspace) -> Subspace:
         return M.full_space()
     constraints = []
     for w in V.rows:
-        op = M.operator_of(list(w))  # column r = b_r * w
-        constraints.extend(op)
+        constraints.extend(zip(*M.operator_of(w)))  # entry (r, c): b_r-coefficient of b_c * w
     return _kernel(constraints, M.dim, M.field)
 
 
 def subspace_intersect(V: Subspace, W: Subspace, field) -> Subspace:
-    """Zassenhaus intersection of two subspaces of the same ambient space."""
+    """Zassenhaus intersection of two subspaces of the same ambient space.
+
+    No verifier calls it: tests use it as the oracle's reference for
+    ideal_intersect, comparing images in the model.
+    """
     if V.ncols != W.ncols:
         raise UsageError("subspaces live in different ambient spaces")
     n = V.ncols
@@ -344,18 +336,23 @@ def subspace_intersect(V: Subspace, W: Subspace, field) -> Subspace:
     return subspace_from_vectors(inter, n, field)
 
 
-def _times(M: VectorSpaceModel, ops, V: Subspace) -> Subspace:
-    """The span of op(v) over the operators ops (sparse columns) and the rows v of V.
+def _powers(M: VectorSpaceModel, V: Subspace):
+    """V, V^2, V^3, ...: each power is the span of the previous one's rows times the rows of V.
 
-    With ops the multiplications by a spanning set of W, this is the product W V.
+    The multiplications by the rows of V are built only if V^2 is asked for.
     """
+    yield V
     p = M.field.p
     zero = M.field.zero
-    ech = _Echelon(M.dim, M.field)
-    for op in ops:
-        for row in V.rows:
-            ech.insert(_apply_cols(op, list(row), p, zero))
-    return ech.snapshot()
+    ops = [_sparse(M.operator_of(r)) for r in V.rows]
+    current = V
+    while True:
+        ech = _Echelon(M.dim, M.field)
+        for op in ops:
+            for row in current.rows:
+                ech.insert(_apply_cols(op, row, p, zero))
+        current = ech.snapshot()
+        yield current
 
 
 def oracle_power(M: VectorSpaceModel, V: Subspace, k: int) -> Subspace:
@@ -366,13 +363,9 @@ def oracle_power(M: VectorSpaceModel, V: Subspace, k: int) -> Subspace:
         raise UsageError("oracle_power requires a multiplication-stable subspace")
     if k == 0:
         return M.full_space()
-    ops = [_sparse_cols(M.operator_of(list(r))) for r in V.rows]
-    current = V
-    for _ in range(k - 1):
-        current = _times(M, ops, current)
-        if current.dim == 0:
-            break
-    return current
+    for i, power in enumerate(_powers(M, V), 1):
+        if i == k or power.dim == 0:
+            return power
 
 
 def oracle_filtration_hilbert(M: VectorSpaceModel, K: Ideal) -> HilbertTable:
@@ -380,12 +373,11 @@ def oracle_filtration_hilbert(M: VectorSpaceModel, K: Ideal) -> HilbertTable:
     V = subspace_of_ideal(M, K)
     if V.dim == M.dim:
         raise UsageError("ideal is the unit ideal in the quotient; a proper ideal is required")
-    ops = [_sparse_cols(M.operator_of(list(r))) for r in V.rows]
     dims = [M.dim]
-    current = V
-    while current.dim > 0:
-        dims.append(current.dim)
-        current = _times(M, ops, current)
+    for power in _powers(M, V):
+        if power.dim == 0:
+            break
+        dims.append(power.dim)
         if len(dims) > M.dim + 1:
             raise PreconditionError(
                 "ideal is not nilpotent in the quotient (not m-primary)"

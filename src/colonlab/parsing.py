@@ -43,9 +43,9 @@ def _tokenize(text: str):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("INT", int(text[i:j]), line, col))
             col += j - i

@@ -17,7 +17,22 @@ import re
 from .errors import UsageError
 
 
-class DegRevLex:
+class _Order:
+    """Orders are equal by type; each subclass gives only `name`, `key` and `exps`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
+
+
+class DegRevLex(_Order):
     """Degree first, then reverse lexicographic tie-break (smaller last exponent wins)."""
 
     __slots__ = ()
@@ -29,17 +44,8 @@ class DegRevLex:
     def exps(self, key):
         return tuple(-e for e in reversed(key[1:]))
 
-    def __eq__(self, other):
-        return type(other) is DegRevLex
 
-    def __hash__(self):
-        return hash("degrevlex")
-
-    def __repr__(self):
-        return "DegRevLex()"
-
-
-class Lex:
+class Lex(_Order):
     """Pure lexicographic order; the first declared variable dominates."""
 
     __slots__ = ()
@@ -51,17 +57,8 @@ class Lex:
     def exps(self, key):
         return key
 
-    def __eq__(self, other):
-        return type(other) is Lex
 
-    def __hash__(self):
-        return hash("lex")
-
-    def __repr__(self):
-        return "Lex()"
-
-
-class Elim:
+class Elim(_Order):
     """The elimination order: degree in the first variable, then degrevlex on the rest.
 
     Any monomial involving the first variable is greater than every monomial
@@ -78,15 +75,6 @@ class Elim:
     def exps(self, key):
         return (key[0],) + tuple(-e for e in reversed(key[2:]))
 
-    def __eq__(self, other):
-        return type(other) is Elim
-
-    def __hash__(self):
-        return hash("elim")
-
-    def __repr__(self):
-        return "Elim()"
-
 
 def order_from_name(name: str):
     if name == "degrevlex":
@@ -97,7 +85,11 @@ def order_from_name(name: str):
 
 
 def compare(order, a, b) -> int:
-    """Compare exponent tuples under the order: -1, 0, or 1."""
+    """Compare exponent tuples under the order: -1, 0, or 1.
+
+    The kernels compare order keys directly; tests use this as the reference
+    comparison in the order laws and the leading-term checks.
+    """
     if len(a) != len(b):
         raise UsageError(f"exponent length mismatch: {len(a)} vs {len(b)}")
     ka, kb = order.key(a), order.key(b)

@@ -76,7 +76,11 @@ class EquivalenceReport:
 
 
 def _complete_intersection(gens):
-    """(ring, generators, degrees) of n homogeneous positive-degree generators in n variables."""
+    """(quotient, delta) of n homogeneous positive-degree generators in n variables.
+
+    The quotient must be Artinian (make_quotient raises otherwise), and
+    delta = sum(d_i) - n.
+    """
     gens = list(gens)
     if not gens:
         raise PreconditionError("no generators given")
@@ -93,7 +97,7 @@ def _complete_intersection(gens):
                 f"generator {g} is not homogeneous of positive degree"
             )
         degrees.append(degree)
-    return ring, tuple(gens), degrees
+    return make_quotient(Ideal(ring, tuple(gens))), sum(degrees) - ring.nvars
 
 
 def _graded_gorenstein(J: Ideal):
@@ -128,10 +132,8 @@ def verify_macaulay_ladder(gens) -> LadderReport:
     Requires n homogeneous generators in n variables cutting out an Artinian
     quotient (a complete intersection), with delta = sum(d_i) - n.
     """
-    ring, gens, degrees = _complete_intersection(gens)
-    I = Ideal(ring, gens)
-    make_quotient(I)  # raises if the quotient is not Artinian
-    delta = sum(degrees) - ring.nvars
+    A, delta = _complete_intersection(gens)
+    I, ring = A.defining, A.ring
     rungs = _ladder_rungs(
         colon_powers(I, irrelevant_power(ring, 1), delta + 1),
         lambda i: ideal_sum(I, irrelevant_power(ring, delta + 1 - i)),
@@ -188,11 +190,9 @@ def verify_corollary(J: Ideal) -> LadderReport:
 
 def check_delta_identity(gens) -> bool:
     """Top nonzero graded degree equals sum(d_i) - n and carries length 1."""
-    ring, gens, degrees = _complete_intersection(gens)
-    A = make_quotient(Ideal(ring, gens))
+    A, delta = _complete_intersection(gens)
     table = graded_hilbert(A)
-    expected = sum(degrees) - ring.nvars
-    return table.delta == expected and table.values[table.delta] == 1
+    return table.delta == delta and table.values[table.delta] == 1
 
 
 STORCH_FIELD = PrimeField(2)

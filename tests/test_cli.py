@@ -174,6 +174,21 @@ def test_unknown_field_exit_code(capsys):
     assert code == 2 and "not prime" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--gens", "x^²"), "unexpected character"),
+        (("--gens", "x^٣"), "unexpected character"),
+        (("--field", "F²", "--gens", "x"), "unknown field"),
+        (("--field", "F٣", "--gens", "x"), "unknown field"),
+    ],
+)
+def test_non_ascii_digits_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "gb", "--vars", "x", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error") and message in err
+
+
 def test_input_file(tmp_path, capsys):
     path = tmp_path / "session.txt"
     path.write_text(

@@ -129,6 +129,16 @@ def test_parse_errors_carry_location():
         assert (err.value.line, err.value.col) == (1, col)
 
 
+@pytest.mark.parametrize("text, col", [("x^²", 3), ("y^٣", 3), ("²", 1), ("x + ٣", 5)])
+def test_non_ascii_digits_are_parse_errors(r2_q, text, col):
+    # str.isdigit() accepts these, and int() rejects "²" but reads "٣" as 3;
+    # integer literals are ASCII 0-9 only.
+    with pytest.raises(ParseError) as err:
+        r2_q.parse(text)
+    assert "unexpected character" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_unknown_variable_is_parse_error(r2_q):
     with pytest.raises(ParseError) as err:
         r2_q.parse("x*q")
