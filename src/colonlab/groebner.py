@@ -5,10 +5,11 @@ the first eligible divisor in the listed order; buchberger selects pairs by
 minimal lcm degree with ties broken by pair index; reduce_gb returns the unique
 reduced monic basis sorted descending by leading monomial.
 
+Every reduction step and every S-pair is one call of the polynomial layer's
+term-merge kernel (poly._merge), started just past the two cancelling heads.
 buchberger keeps its basis monic and forms each S-pair straight from the two
 reducer entries (_s_pair): g_i's terms are shifted once and g_j's shifted tail
-is subtracted, the heads cancelling. s_polynomial is the public reference for
-the same polynomial.
+is merged in. s_polynomial is the public reference for the same polynomial.
 """
 
 from __future__ import annotations
@@ -16,39 +17,13 @@ from __future__ import annotations
 import heapq
 
 from .errors import UsageError
-from .poly import Polynomial, Ring, mono_divides, mono_lcm
+from .poly import Polynomial, Ring, _merge, mono_divides, mono_lcm
 
 
 def _require_ring(ring: Ring, polys) -> None:
     for f in polys:
         if type(f) is not Polynomial or f.ring != ring:
             raise UsageError("polynomials live in different rings")
-
-
-def _sub_scaled_tail(work, start, g_terms, q, kshift, p):
-    """work[start+1:] minus q * x^kshift * g_terms[1:]; p is the modulus or None.
-
-    The heads cancel by construction (q was chosen so the leading terms match),
-    so they are skipped on both sides. Keys shift additively.
-    """
-    out = []
-    i, lw = start + 1, len(work)
-    nq = -q
-    for kg, cg in g_terms[1:]:
-        kb = tuple(a + b for a, b in zip(kg, kshift))
-        while i < lw and work[i][0] > kb:
-            out.append(work[i])
-            i += 1
-        c = nq * cg
-        if i < lw and work[i][0] == kb:
-            c += work[i][1]
-            i += 1
-        if p:
-            c %= p
-        if c:
-            out.append((kb, c))
-    out.extend(work[i:])
-    return out
 
 
 def _divisor(g: Polynomial):
@@ -83,7 +58,7 @@ def _reduce(f: Polynomial, divisors) -> Polynomial:
                 if p:
                     q %= p
                 kshift = tuple(a - b for a, b in zip(k0, dkey))
-                work = _sub_scaled_tail(work, start, dterms, q, kshift, p)
+                work = _merge(work, start + 1, dterms, 1, q, kshift, p)
                 start = 0
                 break
         else:
@@ -129,13 +104,13 @@ def _s_pair(ring: Ring, di, dj, lcm) -> Polynomial:
     """S(g_i, g_j) from the reducer entries of monic g_i, g_j; lcm is their lead lcm.
 
     Equal to s_polynomial(g_i, g_j): x^(lcm - lm_i) g_i minus x^(lcm - lm_j) g_j,
-    built with one shift of g_i's terms and one tail merge of g_j's.
+    built with one shift of g_i's terms and one merge of the two tails.
     """
     lcm_key = ring.order.key(lcm)
     ki = tuple(a - b for a, b in zip(lcm_key, di[1]))
     kj = tuple(a - b for a, b in zip(lcm_key, dj[1]))
     work = [(tuple(a + b for a, b in zip(k, ki)), c) for k, c in di[3]]
-    return Polynomial(ring, tuple(_sub_scaled_tail(work, 0, dj[3], 1, kj, ring.field.p)))
+    return Polynomial(ring, tuple(_merge(work, 1, dj[3], 1, 1, kj, ring.field.p)))
 
 
 def buchberger(gens, use_chain_criterion: bool = True):

@@ -3,7 +3,8 @@
 Lengths are always standard-monomial counts against a reduced Groebner basis;
 no generating-function arithmetic. Powers of an ideal inside the quotient are
 tracked through normal-form-reduced generator sets, which leaves the image
-ideals unchanged while keeping generator growth bounded by the quotient length.
+ideals unchanged. The chain starts from the reduced basis of J + I taken mod J,
+so the first step holds no redundant generators.
 
 The ideals J + I^k, k = 0..delta+1, are built once from that chain
 (_power_ideals). The filtration table reads their lengths (_filtration_table),
@@ -68,13 +69,16 @@ def image_power_chain(A: QuotientRing, I: Ideal):
 
     Returns the list [gens(I^1), gens(I^2), ..., gens(I^d)] where I^(d+1) maps
     to zero in A; an m-primary proper ideal always reaches zero within length(A)
-    steps.
+    steps. gens(I^1) is the reduced basis of J + I taken mod J, not I's own
+    generators: a redundant generating set would multiply into ever more
+    distinct products at each step.
     """
     if I.ring != A.ring:
         raise UsageError("ideal and quotient live in different rings")
-    base = _dedup_nonzero(A.reduce(f) for f in I.generators)
-    if ideal_sum(A.defining, Ideal(A.ring, tuple(base))).is_unit:
+    total = ideal_sum(A.defining, Ideal(A.ring, tuple(A.reduce(f) for f in I.generators)))
+    if total.is_unit:
         raise UsageError("ideal is the unit ideal in the quotient; a proper ideal is required")
+    base = _dedup_nonzero(A.reduce(g) for g in total.groebner_basis())
     chain = []
     current = base
     while current:

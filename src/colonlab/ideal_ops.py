@@ -24,8 +24,8 @@ not re-checked.
 from __future__ import annotations
 
 from .errors import InternalError, PreconditionError, UsageError
-from .groebner import Ideal
-from .poly import DegRevLex, Polynomial, Ring, mono_divides, mono_quotient
+from .groebner import Ideal, _divisor
+from .poly import DegRevLex, Polynomial, Ring, _merge, mono_divides
 
 # make_quotient refuses quotients with more standard monomials than this.
 MAX_QUOTIENT_LENGTH = 100_000
@@ -146,20 +146,22 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
 def _exact_divide(f: Polynomial, d: Polynomial) -> Polynomial:
     """f / d when d divides f exactly; anything else is a bug in the caller."""
     ring = f.ring
-    field = ring.field
-    dexps = d.leading_exps
-    dinv = field.inv(d.leading_coeff)
-    quotient_terms = []
-    rest = f
-    while not rest.is_zero:
-        e = rest.leading_exps
-        if not mono_divides(dexps, e):
+    p = ring.field.p
+    exps_of = ring.order.exps
+    dexps, dkey, dinv, dterms = _divisor(d)
+    quotient = []
+    rest = f.terms
+    while rest:
+        k0, c0 = rest[0]
+        if not mono_divides(dexps, exps_of(k0)):
             raise InternalError(f"non-exact division: {f} by {d}")
-        qc = field.mul(rest.leading_coeff, dinv)
-        qe = mono_quotient(e, dexps)
-        quotient_terms.append((qe, qc))
-        rest = rest - d.mul_term(qc, qe)
-    return ring.from_terms(quotient_terms)
+        q = c0 * dinv
+        if p:
+            q %= p
+        kq = tuple(a - b for a, b in zip(k0, dkey))
+        quotient.append((kq, q))
+        rest = _merge(rest, 1, dterms, 1, q, kq, p)
+    return Polynomial(ring, tuple(quotient))
 
 
 def _colon_variable(I: Ideal, j: int) -> Ideal:
@@ -304,7 +306,8 @@ def socle(A: QuotientRing) -> Ideal:
 
 
 def is_gorenstein(A: QuotientRing) -> bool:
-    """Artinian Gorenstein iff the socle is one-dimensional over the field."""
-    if A.length == 0:
-        return False
+    """Artinian Gorenstein iff the socle is one-dimensional over the field.
+
+    The zero ring's socle is (1), so its socle dimension is 0 and it is not Gorenstein.
+    """
     return A.length - make_quotient(socle(A)).length == 1

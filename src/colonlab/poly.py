@@ -2,8 +2,9 @@
 
 Monomials are exponent tuples. Each order maps an exponent tuple to a sort key
 that compares with native tuple comparison and is additive under monomial
-multiplication (key(a*b) = key(a) + key(b) componentwise), which keeps the term
-merges in the Groebner engine free of per-comparison callbacks.
+multiplication (key(a*b) = key(a) + key(b) componentwise). So one term-merge
+kernel, _merge, serves +, -, the Groebner engine's reductions and S-pairs, and
+exact division, with no per-comparison callbacks.
 
 The orders are DegRevLex, Lex and Elim. Elim is the one elimination order: it
 ranks the first variable above the rest, and only the extended rings that
@@ -221,29 +222,30 @@ class Ring:
         return f"Ring({'+'.join(self.variables)} over {self.field.name}, {self.order.name})"
 
 
-def _merge_add(A, B, p):
-    """A + B for canonical descending term lists; p is the field's modulus (None for Q)."""
+def _merge(A, i, B, j, q, shift, p):
+    """A[i:] - q * x^shift * B[j:] for descending term lists; p is the modulus or None.
+
+    Keys shift additively, so the shifted B[j:] stays descending. + and - pass
+    the ring's zero key; reduction, S-pairs and exact division start just past
+    the two heads that cancel.
+    """
     out = []
-    i, j, la, lb = 0, 0, len(A), len(B)
-    while i < la and j < lb:
-        ka, ca = A[i]
-        kb, cb = B[j]
-        if ka > kb:
+    la = len(A)
+    nq = -q
+    for kb, cb in B[j:]:
+        kb = tuple(a + b for a, b in zip(kb, shift))
+        while i < la and A[i][0] > kb:
             out.append(A[i])
             i += 1
-        elif ka < kb:
-            out.append(B[j])
-            j += 1
-        else:
-            c = ca + cb
-            if p:
-                c %= p
-            if c:
-                out.append((ka, c))
+        c = nq * cb
+        if i < la and A[i][0] == kb:
+            c += A[i][1]
             i += 1
-            j += 1
+        if p:
+            c %= p
+        if c:
+            out.append((kb, c))
     out.extend(A[i:])
-    out.extend(B[j:])
     return out
 
 
@@ -309,14 +311,21 @@ class Polynomial:
 
     def __add__(self, other):
         self._require_same_ring(other)
-        return Polynomial(self.ring, tuple(_merge_add(self.terms, other.terms, self.ring.field.p)))
+        ring = self.ring
+        zero = ring.order.key((0,) * ring.nvars)
+        terms = _merge(self.terms, 0, other.terms, 0, -1, zero, ring.field.p)
+        return Polynomial(ring, tuple(terms))
 
     def __neg__(self):
         p = self.ring.field.p
         return Polynomial(self.ring, tuple((k, -c % p if p else -c) for k, c in self.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._require_same_ring(other)
+        ring = self.ring
+        zero = ring.order.key((0,) * ring.nvars)
+        terms = _merge(self.terms, 0, other.terms, 0, 1, zero, ring.field.p)
+        return Polynomial(ring, tuple(terms))
 
     def scale(self, coeff) -> "Polynomial":
         field = self.ring.field

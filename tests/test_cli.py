@@ -132,6 +132,13 @@ def test_socle_command(capsys):
     assert document["result"]["gorenstein"] is False
 
 
+def test_socle_of_zero_ring(capsys):
+    code, document = run_json(capsys, "socle", "--vars", "x,y", "--gens", "1")
+    assert code == 0
+    assert document["result"]["socle_dimension"] == 0
+    assert document["result"]["gorenstein"] is False
+
+
 def test_symmetry_command(capsys):
     code, document = run_json(
         capsys, "symmetry", "--field", "Q", "--vars", "x,y", "--gens", "x^2,y^2"

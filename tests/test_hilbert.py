@@ -11,6 +11,7 @@ from colonlab import (
     QQ,
     Ring,
     UsageError,
+    build_model,
     filtration_hilbert,
     graded_hilbert,
     ideal_sum,
@@ -19,10 +20,13 @@ from colonlab import (
     length_of_quotient,
     make_quotient,
     nilpotency_index,
+    oracle_filtration_hilbert,
     unit_ideal,
+    verify_main_equivalence,
 )
+from colonlab.hilbert import image_power_chain
 
-from conftest import F2, STORCH_GENS, make_ideal
+from conftest import F2, F32003, STORCH_GENS, make_ideal
 
 
 def convolve(a, b):
@@ -122,6 +126,22 @@ def test_filtration_of_inner_power():
     A = make_quotient(Ideal(ring, (ring.parse("x^3"),)))
     table = filtration_hilbert(A, Ideal(ring, (ring.parse("x^2"),)))
     assert table.values == (2, 1) and table.delta == 1
+
+
+@pytest.mark.parametrize("field", [F32003, QQ], ids=lambda f: f.name)
+def test_redundant_generators_give_the_chain_of_m(field):
+    # Six linear forms x + a*y + b*z span all linear forms, so they generate m;
+    # the chain must hold the generators of m's powers, not the forms' products.
+    A = make_quotient(make_ideal(field, ("x", "y", "z"), ("x^3", "y^3", "z^3")))
+    ring = A.ring
+    forms = Ideal(ring, tuple(ring.parse(f"x+{a}*y+{b}*z") for a in (1, 2) for b in (1, 2, 3)))
+    m = irrelevant_power(ring, 1)
+    sizes = [len(gens) for gens in image_power_chain(A, forms)]
+    assert sizes == [len(gens) for gens in image_power_chain(A, m)] == [3, 6, 7, 6, 3, 1]
+    assert filtration_hilbert(A, forms) == filtration_hilbert(A, m)
+    assert verify_main_equivalence(A, forms) == verify_main_equivalence(A, m)
+    M = build_model(A)
+    assert oracle_filtration_hilbert(M, forms) == oracle_filtration_hilbert(M, m)
 
 
 def test_symmetry_predicate():

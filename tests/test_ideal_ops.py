@@ -228,6 +228,11 @@ def test_socle_of_fat_point_not_gorenstein(r2):
     assert not is_gorenstein(A)
 
 
+def test_zero_ring_is_not_gorenstein(r2):
+    # R/(1) has socle (1): dimension 0, not 1.
+    assert not is_gorenstein(make_quotient(unit_ideal(r2)))
+
+
 def test_storch_quotient_is_gorenstein():
     A = make_quotient(make_ideal(F2, ("x", "y"), STORCH_GENS))
     assert is_gorenstein(A)
