@@ -33,12 +33,10 @@ def _apply_cols(cols, vec, p, zero):
 
 
 def _mat_mul(a, b, p):
-    cols = range(len(b[0]))
-    bt = list(zip(*b))
-    out = [[sum(x * y for x, y in zip(row, bt[c])) for c in cols] for row in a]
-    if p:
-        out = [[x % p for x in row] for row in out]
-    return out
+    """The product of two square row-major matrices, row-major, from a's sparse columns."""
+    a_cols = _sparse(zip(*a))
+    product_cols = [_apply_cols(a_cols, col, p, 0) for col in zip(*b)]
+    return [list(row) for row in zip(*product_cols)]
 
 
 def _residual(rows, pivots, vec, p):
@@ -144,7 +142,7 @@ def subspace_from_vectors(vectors, ncols, field) -> Subspace:
 class VectorSpaceModel:
     """Multiplication matrices of an Artinian quotient over its standard basis."""
 
-    __slots__ = ("quotient", "ring", "field", "basis", "index", "mats", "cols", "steps")
+    __slots__ = ("quotient", "ring", "field", "basis", "index", "mats", "cols", "steps", "chains")
 
     def __init__(self, quotient, basis, index, mats, steps):
         self.quotient = quotient
@@ -155,6 +153,7 @@ class VectorSpaceModel:
         self.mats = mats
         self.cols = tuple(_sparse(zip(*mat)) for mat in mats)
         self.steps = steps
+        self.chains = {}  # stable subspace V -> its power chain [V, V^2, ...] (see _chain)
 
     @property
     def dim(self) -> int:
@@ -312,8 +311,8 @@ def annihilator(M: VectorSpaceModel, V: Subspace) -> Subspace:
     if V.dim == 0:
         return M.full_space()
     constraints = []
-    for w in V.rows:
-        constraints.extend(zip(*M.operator_of(w)))  # entry (r, c): b_r-coefficient of b_c * w
+    for g in _generators(M, V):  # a V = 0 iff a g = 0 for every generator g
+        constraints.extend(zip(*M.operator_of(g)))  # entry (r, c): b_r-coefficient of b_c * g
     return _kernel(constraints, M.dim, M.field)
 
 
@@ -336,36 +335,70 @@ def subspace_intersect(V: Subspace, W: Subspace, field) -> Subspace:
     return subspace_from_vectors(inter, n, field)
 
 
-def _powers(M: VectorSpaceModel, V: Subspace):
-    """V, V^2, V^3, ...: each power is the span of the previous one's rows times the rows of V.
+def _generators(M: VectorSpaceModel, V: Subspace) -> list:
+    """Rows of a multiplication-stable V that generate it as an ideal.
 
-    The multiplications by the rows of V are built only if V^2 is asked for.
+    A row is kept when it lies outside the ideal spanned by the rows kept
+    before it, and the walk stops once that ideal is V. No locality is
+    assumed, so this holds on non-local quotients too.
     """
-    yield V
+    ideal = _Echelon(M.dim, M.field)
+    gens = []
+    for row in V.rows:
+        if len(ideal.rows) == V.dim:
+            break
+        if ideal.insert(row):  # row is column 0 of its own operator (b_0 = 1)
+            gens.append(row)
+            for column in M.operator_of(row)[1:]:
+                if len(ideal.rows) == V.dim:
+                    break
+                ideal.insert(column)
+    return gens
+
+
+def _powers(M: VectorSpaceModel, V: Subspace) -> list:
+    """[V, V^2, ...] up to the first power that equals the one before it.
+
+    V^k is an ideal, so V^(k+1) = V^k V is spanned by the products of the
+    rows of V^k with ideal generators of V. The dimensions fall until a power
+    repeats (zero repeats itself), so the walk takes at most dim V + 1 steps.
+    """
     p = M.field.p
     zero = M.field.zero
-    ops = [_sparse(M.operator_of(r)) for r in V.rows]
-    current = V
-    while True:
+    ops = [_sparse(M.operator_of(g)) for g in _generators(M, V)]
+    chain = [V]
+    while chain[-1].dim:
         ech = _Echelon(M.dim, M.field)
         for op in ops:
-            for row in current.rows:
+            for row in chain[-1].rows:
                 ech.insert(_apply_cols(op, row, p, zero))
-        current = ech.snapshot()
-        yield current
+        power = ech.snapshot()
+        if power == chain[-1]:
+            break
+        chain.append(power)
+    return chain
+
+
+def _chain(M: VectorSpaceModel, V: Subspace) -> list:
+    """The power chain of V, walked once per model and subspace."""
+    if V.ncols != M.dim:
+        raise UsageError("subspace dimension does not match the model")
+    chain = M.chains.get(V)
+    if chain is None:
+        if not _is_stable(M, V):
+            raise UsageError("oracle_power requires a multiplication-stable subspace")
+        chain = M.chains[V] = _powers(M, V)
+    return chain
 
 
 def oracle_power(M: VectorSpaceModel, V: Subspace, k: int) -> Subspace:
     """V^k as span of k-fold products; V^0 is the whole ring."""
     if type(k) is not int or k < 0:
         raise UsageError(f"subspace power must be a nonnegative int, got {k!r}")
-    if not _is_stable(M, V):
-        raise UsageError("oracle_power requires a multiplication-stable subspace")
+    chain = _chain(M, V)
     if k == 0:
         return M.full_space()
-    for i, power in enumerate(_powers(M, V), 1):
-        if i == k or power.dim == 0:
-            return power
+    return chain[min(k, len(chain)) - 1]
 
 
 def oracle_filtration_hilbert(M: VectorSpaceModel, K: Ideal) -> HilbertTable:
@@ -373,16 +406,10 @@ def oracle_filtration_hilbert(M: VectorSpaceModel, K: Ideal) -> HilbertTable:
     V = subspace_of_ideal(M, K)
     if V.dim == M.dim:
         raise UsageError("ideal is the unit ideal in the quotient; a proper ideal is required")
-    dims = [M.dim]
-    for power in _powers(M, V):
-        if power.dim == 0:
-            break
-        dims.append(power.dim)
-        if len(dims) > M.dim + 1:
-            raise PreconditionError(
-                "ideal is not nilpotent in the quotient (not m-primary)"
-            )
-    dims.append(0)
+    chain = _chain(M, V)
+    if chain[-1].dim:
+        raise PreconditionError("ideal is not nilpotent in the quotient (not m-primary)")
+    dims = [M.dim] + [power.dim for power in chain]
     delta = len(dims) - 2
     values = tuple(dims[i] - dims[i + 1] for i in range(delta + 1))
     return HilbertTable(values, delta, KIND_FILTRATION)
