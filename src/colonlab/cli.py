@@ -8,6 +8,7 @@ succeeds), 1 on a verified-failure verdict, 2 on usage or precondition errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -37,6 +38,7 @@ from .theorems import (
 )
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colonlab",

@@ -4,6 +4,10 @@ The model is built from normal forms only (the multiplication matrices) and
 everything after that is exact row reduction: no colon, intersection, or power
 routine from the ideal layer is ever called, so agreement between this module
 and the Groebner path is a genuine cross-check.
+
+The image of an ideal, the ideal generators of a subspace and its stability
+check all come from one span walk (_ideal_span), which builds the operator of
+each generator it keeps once per call.
 """
 
 from __future__ import annotations
@@ -253,31 +257,44 @@ def build_model(A: QuotientRing) -> VectorSpaceModel:
     return VectorSpaceModel(A, basis, index, tuple(mats), tuple(steps))
 
 
+def _ideal_span(M: VectorSpaceModel, vectors):
+    """The ideal of A spanned by the vectors, and the operators of those that generate it.
+
+    A vector is kept when it lies outside the ideal spanned by the vectors
+    kept before it; the columns b_r * v of its operator then join the span
+    (column 0 is v itself, as b_0 = 1). No locality is assumed, so this holds
+    on non-local quotients too.
+    """
+    ideal = _Echelon(M.dim, M.field)
+    operators = []
+    for v in vectors:
+        if ideal.insert(v):
+            operator = M.operator_of(v)
+            operators.append(operator)
+            for column in operator[1:]:
+                ideal.insert(column)
+    return ideal, operators
+
+
 def subspace_of_ideal(M: VectorSpaceModel, K: Ideal) -> Subspace:
     """The image of an ambient ideal in A, closed under all multiplications."""
     if K.ring != M.ring:
         raise UsageError("ideal lives in a different ring")
-    ech = _Echelon(M.dim, M.field)
-    for g in K.generators:
-        if not g.is_zero:
-            ech.insert(M.coords(g))
-    # Close the span under every multiplication matrix.
-    queue = [list(r) for r in ech.rows]
-    while queue:
-        v = queue.pop()
-        for var in range(len(M.mats)):
-            w = M.apply(var, v)
-            if ech.insert(w):
-                queue.append(w)
-    return ech.snapshot()
+    return _ideal_span(M, [M.coords(g) for g in K.generators])[0].snapshot()
 
 
-def _is_stable(M: VectorSpaceModel, V: Subspace) -> bool:
-    for row in V.rows:
-        for var in range(len(M.mats)):
-            if not V.contains(M.apply(var, row), M.field):
-                return False
-    return True
+def _generator_operators(M: VectorSpaceModel, V: Subspace, caller: str) -> list:
+    """The operators of rows of V that generate it as an ideal.
+
+    The ideal the rows of V generate contains V, so V is an ideal of A
+    (multiplication-stable) exactly when that ideal has dimension dim V.
+    """
+    if V.ncols != M.dim:
+        raise UsageError("subspace dimension does not match the model")
+    ideal, operators = _ideal_span(M, V.rows)
+    if len(ideal.rows) != V.dim:
+        raise UsageError(f"{caller} requires a multiplication-stable subspace")
+    return operators
 
 
 def _kernel(rows, ncols, field) -> Subspace:
@@ -300,19 +317,14 @@ def _kernel(rows, ncols, field) -> Subspace:
 
 
 def annihilator(M: VectorSpaceModel, V: Subspace) -> Subspace:
-    """{a in A : a V = 0}, via the kernel of the stacked maps a -> a * v_j.
+    """{a in A : a V = 0}, via the kernel of the stacked maps a -> a * g.
 
-    V must be stable under the multiplication matrices (an ideal of A).
+    V must be stable under the multiplication matrices (an ideal of A), and
+    a V = 0 iff a g = 0 for each of its ideal generators g.
     """
-    if V.ncols != M.dim:
-        raise UsageError("subspace dimension does not match the model")
-    if not _is_stable(M, V):
-        raise UsageError("annihilator requires a multiplication-stable subspace")
-    if V.dim == 0:
-        return M.full_space()
     constraints = []
-    for g in _generators(M, V):  # a V = 0 iff a g = 0 for every generator g
-        constraints.extend(zip(*M.operator_of(g)))  # entry (r, c): b_r-coefficient of b_c * g
+    for operator in _generator_operators(M, V, "annihilator"):
+        constraints.extend(zip(*operator))  # entry (r, c): b_r-coefficient of b_c * g
     return _kernel(constraints, M.dim, M.field)
 
 
@@ -335,37 +347,21 @@ def subspace_intersect(V: Subspace, W: Subspace, field) -> Subspace:
     return subspace_from_vectors(inter, n, field)
 
 
-def _generators(M: VectorSpaceModel, V: Subspace) -> list:
-    """Rows of a multiplication-stable V that generate it as an ideal.
-
-    A row is kept when it lies outside the ideal spanned by the rows kept
-    before it, and the walk stops once that ideal is V. No locality is
-    assumed, so this holds on non-local quotients too.
-    """
-    ideal = _Echelon(M.dim, M.field)
-    gens = []
-    for row in V.rows:
-        if len(ideal.rows) == V.dim:
-            break
-        if ideal.insert(row):  # row is column 0 of its own operator (b_0 = 1)
-            gens.append(row)
-            for column in M.operator_of(row)[1:]:
-                if len(ideal.rows) == V.dim:
-                    break
-                ideal.insert(column)
-    return gens
-
-
-def _powers(M: VectorSpaceModel, V: Subspace) -> list:
+def _chain(M: VectorSpaceModel, V: Subspace) -> list:
     """[V, V^2, ...] up to the first power that equals the one before it.
 
     V^k is an ideal, so V^(k+1) = V^k V is spanned by the products of the
     rows of V^k with ideal generators of V. The dimensions fall until a power
     repeats (zero repeats itself), so the walk takes at most dim V + 1 steps.
+    It runs once per model and subspace, and V enters M.chains only once it
+    has passed the stability check.
     """
+    chain = M.chains.get(V)
+    if chain is not None:
+        return chain
     p = M.field.p
     zero = M.field.zero
-    ops = [_sparse(M.operator_of(g)) for g in _generators(M, V)]
+    ops = [_sparse(op) for op in _generator_operators(M, V, "oracle_power")]
     chain = [V]
     while chain[-1].dim:
         ech = _Echelon(M.dim, M.field)
@@ -376,18 +372,7 @@ def _powers(M: VectorSpaceModel, V: Subspace) -> list:
         if power == chain[-1]:
             break
         chain.append(power)
-    return chain
-
-
-def _chain(M: VectorSpaceModel, V: Subspace) -> list:
-    """The power chain of V, walked once per model and subspace."""
-    if V.ncols != M.dim:
-        raise UsageError("subspace dimension does not match the model")
-    chain = M.chains.get(V)
-    if chain is None:
-        if not _is_stable(M, V):
-            raise UsageError("oracle_power requires a multiplication-stable subspace")
-        chain = M.chains[V] = _powers(M, V)
+    M.chains[V] = chain
     return chain
 
 

@@ -327,3 +327,24 @@ def test_huge_quotient_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert "standard monomials" in err
+
+
+def test_rejected_arguments_leave_the_parser_unchanged(capsys):
+    # main builds its parser once per process; a call that argparse rejects
+    # must not change what the next call parses.
+    valid = ("equiv", "--field", "Q", "--vars", "x,y", "--gens", "x^2,y^3", "--json")
+
+    def timing_free(out):
+        return re.sub(r'"timing_ms": [0-9.e+-]+', '"timing_ms": 0', out)
+
+    cli._build_parser.cache_clear()
+    code, alone, err = run(capsys, *valid)
+    assert code == 0 and err == ""
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as rejected:
+        main(["equiv", "--field", "F2", "--vars", "x", "--gens", "x^3", "--unknown-flag"])
+    assert rejected.value.code == 2
+    assert "unrecognized arguments: --unknown-flag" in capsys.readouterr().err
+    code, after, err = run(capsys, *valid)
+    assert code == 0 and err == ""
+    assert timing_free(after) == timing_free(alone)

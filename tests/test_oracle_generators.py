@@ -1,10 +1,11 @@
 """The oracle's generator-based products against their all-rows definitions.
 
 The oracle multiplies and annihilates through ideal generators of a subspace V
-(`oracle._generators`) and walks each power chain once per model. The
-definitions it replaces are spelled out here: V^k is the span of every row of
-V^(k-1) times every row of V, and the annihilator of V is the kernel of the
-maps a -> a * v over every row v of V. Inputs are the CORPUS, a non-local
+(`oracle._generator_operators`) and walks each power chain once per model. The
+definitions it replaces are spelled out here: the image of an ideal is the
+span of its generators closed under every variable, V^k is the span of every
+row of V^(k-1) times every row of V, and the annihilator of V is the kernel of
+the maps a -> a * v over every row v of V. Inputs are the CORPUS, a non-local
 quotient and hypothesis inputs over F2, F32003 and Q in 2-3 variables.
 
 Also here: the model's commutativity guard, the sparse matrix product against
@@ -35,7 +36,7 @@ from colonlab import (
     oracle_power,
     subspace_of_ideal,
 )
-from colonlab.oracle import _generators, _mat_mul, subspace_from_vectors
+from colonlab.oracle import _generator_operators, _mat_mul, subspace_from_vectors
 
 from conftest import F2, F32003, corpus_ideals, make_ideal
 from test_colon_laws import cases
@@ -44,6 +45,7 @@ FIELDS = pytest.mark.parametrize("field", [F2, F32003, QQ], ids=lambda f: f.name
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
 NON_LOCAL = ("x^2 - x", "y^2 - y")  # four points: R/J is Artinian but not local
+UNSTABLE = "requires a multiplication-stable subspace"
 
 
 def ideal_closure(M, vectors):
@@ -88,8 +90,17 @@ def assert_annihilator_is_all_rows_kernel(M, V):
     assert ann.dim == M.dim - rank
 
 
+def image(M, K):
+    """subspace_of_ideal(M, K), checked against the closure of K's generators."""
+    V = subspace_of_ideal(M, K)
+    assert V == ideal_closure(M, [M.coords(g) for g in K.generators])
+    return V
+
+
 def check_against_all_rows(M, V):
-    assert ideal_closure(M, _generators(M, V)) == V
+    # Each generator row is column 0 of its operator (b_0 = 1).
+    generators = [operator[0] for operator in _generator_operators(M, V, "annihilator")]
+    assert ideal_closure(M, generators) == V
     previous = M.full_space()
     for k in range(1, M.dim + 3):
         power = oracle_power(M, V, k)
@@ -105,7 +116,7 @@ def subspaces(M):
     ring = M.ring
     f = sum((ring.variable(i) for i in range(ring.nvars)), ring.variable(0) * ring.variable(0))
     ideals = (irrelevant_power(ring, 1), irrelevant_power(ring, 2), Ideal(ring, (f,)))
-    return [subspace_of_ideal(M, K) for K in ideals]
+    return [image(M, K) for K in ideals]
 
 
 def test_corpus_against_all_rows():
@@ -122,7 +133,7 @@ def test_non_local_quotient_against_all_rows():
     M = build_model(make_quotient(make_ideal(QQ, ("x", "y"), NON_LOCAL)))
     ring = M.ring
     for text in ("x", "x*y", "x + y", "x - y", "x*y - x"):
-        check_against_all_rows(M, subspace_of_ideal(M, Ideal(ring, (ring.parse(text),))))
+        check_against_all_rows(M, image(M, Ideal(ring, (ring.parse(text),))))
 
 
 @FIELDS
@@ -132,13 +143,14 @@ def test_random_inputs_against_all_rows(field, data):
     I, J, K = data.draw(cases(field))
     M = build_model(make_quotient(I))
     for ideal in (J, K):
-        check_against_all_rows(M, subspace_of_ideal(M, ideal))
+        check_against_all_rows(M, image(M, ideal))
 
 
 def test_generators_of_m_are_few():
     A = make_quotient(make_ideal(F32003, ("x", "y", "z"), ("x^3", "y^3", "z^4")))
     M = build_model(A)
-    assert len(_generators(M, subspace_of_ideal(M, irrelevant_power(A.ring, 1)))) == 3
+    V = subspace_of_ideal(M, irrelevant_power(A.ring, 1))
+    assert len(_generator_operators(M, V, "annihilator")) == 3
 
 
 def test_power_walk_ends_on_an_idempotent_ideal():
@@ -174,6 +186,23 @@ def test_power_of_a_foreign_subspace_is_a_usage_error():
             with pytest.raises(UsageError, match="subspace dimension does not match the model"):
                 oracle_power(M, V, k)
         assert V not in M.chains
+
+
+def test_unstable_subspaces_are_rejected_and_zero_is_an_ideal():
+    # span{x} in k[x,y]/(x^2, y^2) misses y*x; span{x + y} in the non-local
+    # quotient misses x*(x + y) = x + x*y.
+    for generators, text in ((("x^2", "y^2"), "x"), (NON_LOCAL, "x + y")):
+        M = build_model(make_quotient(make_ideal(QQ, ("x", "y"), generators)))
+        V = subspace_from_vectors([M.coords(M.ring.parse(text))], M.dim, M.field)
+        with pytest.raises(UsageError, match=f"^annihilator {UNSTABLE}$"):
+            annihilator(M, V)
+        for k in (0, 1, 2):
+            with pytest.raises(UsageError, match=f"^oracle_power {UNSTABLE}$"):
+                oracle_power(M, V, k)
+        assert V not in M.chains
+        zero = M.zero_space()
+        assert annihilator(M, zero) == M.full_space()
+        assert all(oracle_power(M, zero, k) == zero for k in (1, 2, 5))
 
 
 def test_build_model_rejects_noncommuting_matrices(monkeypatch):
