@@ -8,6 +8,13 @@ and the Groebner path is a genuine cross-check.
 The image of an ideal, the ideal generators of a subspace and its stability
 check all come from one span walk (_ideal_span), which builds the operator of
 each generator it keeps once per call.
+
+Inside the module vectors are sparse {column: entry} dicts holding only the
+nonzero entries: the variables' columns, the operators built from them, their
+products and the echelon rows. A homogeneous element maps each graded piece
+into one piece, so these vectors are nearly empty. The public surface stays
+dense: Subspace.rows is a tuple of dense tuples, and VectorSpaceModel.apply
+and operator_of take and return dense lists.
 """
 
 from __future__ import annotations
@@ -18,91 +25,91 @@ from .hilbert import KIND_FILTRATION, HilbertTable
 from .ideal_ops import QuotientRing
 
 
-def _sparse(columns):
-    """The nonzero (row, entry) pairs of each column."""
-    return tuple(tuple((r, x) for r, x in enumerate(col) if x != 0) for col in columns)
+def _sparse(vec) -> dict:
+    """{column: entry} over the nonzero entries of a dense vector; dicts are copied."""
+    if type(vec) is dict:
+        return dict(vec)
+    return {c: x for c, x in enumerate(vec) if x}
 
 
-def _apply_cols(cols, vec, p, zero):
-    """Matrix-vector product using the sparse column structure."""
-    out = [zero] * len(vec)
-    for c, vc in enumerate(vec):
-        if vc == 0:
-            continue
-        for r, coeff in cols[c]:
-            out[r] = out[r] + coeff * vc
-    if p:
-        out = [x % p for x in out]
+def _dense(vec, ncols, zero) -> list:
+    return [vec.get(c, zero) for c in range(ncols)]
+
+
+def _axpy(v, f, row, p) -> dict:
+    """v += f * row in place, both sparse, over F_p (p) or Q (p None); returns v."""
+    get = v.get
+    for c, y in row.items():
+        x = get(c, 0) + f * y
+        if p:
+            x %= p
+        if x:
+            v[c] = x
+        else:
+            del v[c]
+    return v
+
+
+def _times(columns, vec, p) -> dict:
+    """The sparse product of a matrix, given by its sparse columns, and a sparse vector."""
+    out = {}
+    for c, x in vec.items():
+        _axpy(out, x, columns[c], p)
     return out
 
 
 def _mat_mul(a, b, p):
     """The product of two square row-major matrices, row-major, from a's sparse columns."""
-    a_cols = _sparse(zip(*a))
-    product_cols = [_apply_cols(a_cols, col, p, 0) for col in zip(*b)]
-    return [list(row) for row in zip(*product_cols)]
-
-
-def _residual(rows, pivots, vec, p):
-    """vec reduced against reduced-row-echelon rows with these pivot columns."""
-    v = list(vec)
-    for row, c in zip(rows, pivots):
-        f = v[c]
-        if f == 0:
-            continue
-        if p is None:
-            v = [x - f * y for x, y in zip(v, row)]
-        else:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return v
+    a_cols = [_sparse(col) for col in zip(*a)]
+    out = [[0] * len(a) for _ in a]
+    for c, col in enumerate(zip(*b)):
+        for r, x in _times(a_cols, _sparse(col), p).items():
+            out[r][c] = x
+    return out
 
 
 class _Echelon:
     """Mutable reduced-row-echelon accumulator with exact field arithmetic.
 
-    Unlike the other kernels, _residual and insert keep a separate F_p list
-    comprehension beside the Q one: folding the modulus into one pass per
-    vector measured about 6% slower on the oracle-fp benchmark workload.
+    Rows are sparse {column: entry} dicts keyed by their pivot. In reduced
+    echelon form a row is zero at every other pivot, so subtracting it never
+    creates an entry at another pivot: a vector is reduced in one pass over
+    the pivot columns of its own support, and back-substitution touches only
+    the rows with an entry at the new pivot.
     """
 
-    __slots__ = ("rows", "pivots", "ncols", "field", "p")
+    __slots__ = ("rows", "ncols", "field", "p")
 
     def __init__(self, ncols, field):
-        self.rows = []
-        self.pivots = []
+        self.rows = {}
         self.ncols = ncols
         self.field = field
         self.p = field.p
 
     def insert(self, vec) -> bool:
-        """Reduce vec against the basis; absorb it if independent."""
-        v = _residual(self.rows, self.pivots, vec, self.p)
-        pivot = next((c for c, x in enumerate(v) if x != 0), None)
-        if pivot is None:
-            return False
-        inv = self.field.inv(v[pivot])
+        """Reduce vec (dense, or a sparse dict) against the basis; absorb it if independent."""
+        v = _sparse(vec)
+        rows = self.rows
         p = self.p
-        if p is None:
-            v = [x * inv for x in v]
-        else:
-            v = [x * inv % p for x in v]
-        for i, row in enumerate(self.rows):
-            f = row[pivot]
-            if f == 0:
-                continue
-            if p is None:
-                self.rows[i] = [x - f * y for x, y in zip(row, v)]
-            else:
-                self.rows[i] = [(x - f * y) % p for x, y in zip(row, v)]
-        at = next((i for i, c in enumerate(self.pivots) if c > pivot), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
+        for c in [c for c in v if c in rows]:
+            _axpy(v, -v[c], rows[c], p)
+        if not v:
+            return False
+        pivot = min(v)
+        v = _axpy({}, self.field.inv(v[pivot]), v, p)
+        for row in rows.values():
+            f = row.get(pivot)
+            if f is not None:
+                _axpy(row, -f, v, p)
+        rows[pivot] = v
         return True
 
     def snapshot(self) -> "Subspace":
-        return Subspace(
-            tuple(tuple(r) for r in self.rows), tuple(self.pivots), self.ncols
-        )
+        """The dense canonical Subspace of the rows, in pivot order."""
+        pivots = tuple(sorted(self.rows))
+        zero = self.field.zero
+        rows = tuple(tuple(_dense(self.rows[c], self.ncols, zero)) for c in pivots)
+        return Subspace(rows, pivots, self.ncols)
 
 
 class Subspace:
@@ -118,9 +125,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, vec, field) -> bool:
-        return all(x == 0 for x in _residual(self.rows, self.pivots, vec, field.p))
 
     def __eq__(self, other):
         return (
@@ -155,7 +159,7 @@ class VectorSpaceModel:
         self.basis = basis
         self.index = index
         self.mats = mats
-        self.cols = tuple(_sparse(zip(*mat)) for mat in mats)
+        self.cols = tuple(tuple(_sparse(col) for col in zip(*mat)) for mat in mats)
         self.steps = steps
         self.chains = {}  # stable subspace V -> its power chain [V, V^2, ...] (see _chain)
 
@@ -184,20 +188,24 @@ class VectorSpaceModel:
 
     def apply(self, var: int, vec) -> list:
         """Multiply the element with these coordinates by the given variable."""
-        return _apply_cols(self.cols[var], vec, self.field.p, self.field.zero)
+        return _dense(_times(self.cols[var], _sparse(vec), self.field.p), self.dim, self.field.zero)
 
     def operator_of(self, vec) -> list:
-        """Columns of multiplication by the element with these coordinates.
+        """Columns of multiplication by the element with these coordinates."""
+        return [_dense(column, self.dim, self.field.zero) for column in _operator(self, _sparse(vec))]
 
-        Column r is b_r * vec, built by walking the division-closed basis
-        (each basis monomial is a variable times an earlier one).
-        """
-        columns = [None] * self.dim
-        columns[0] = list(vec)
-        for r in range(1, self.dim):
-            var, parent = self.steps[r]
-            columns[r] = self.apply(var, columns[parent])
-        return columns
+
+def _operator(M: VectorSpaceModel, v: dict) -> list:
+    """Sparse columns of multiplication by v: column r is b_r * v.
+
+    They are built by walking the division-closed basis (each basis monomial
+    is a variable times an earlier one).
+    """
+    p = M.field.p
+    columns = [v]
+    for var, parent in M.steps[1:]:
+        columns.append(_times(M.cols[var], columns[parent], p))
+    return columns
 
 
 def _coords(nf, index, zero) -> list:
@@ -269,7 +277,7 @@ def _ideal_span(M: VectorSpaceModel, vectors):
     operators = []
     for v in vectors:
         if ideal.insert(v):
-            operator = M.operator_of(v)
+            operator = _operator(M, _sparse(v))
             operators.append(operator)
             for column in operator[1:]:
                 ideal.insert(column)
@@ -302,15 +310,14 @@ def _kernel(rows, ncols, field) -> Subspace:
     ech = _Echelon(ncols, field)
     for r in rows:
         ech.insert(r)
-    pivots = set(ech.pivots)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for row, c in zip(ech.rows, ech.pivots):
-            coeff = row[f]
-            if coeff != 0:
+    for f in range(ncols):
+        if f in ech.rows:
+            continue
+        v = {f: field.one}
+        for c, row in ech.rows.items():
+            coeff = row.get(f)
+            if coeff is not None:
                 v[c] = field.neg(coeff)
         basis.append(v)
     return subspace_from_vectors(basis, ncols, field)
@@ -324,7 +331,11 @@ def annihilator(M: VectorSpaceModel, V: Subspace) -> Subspace:
     """
     constraints = []
     for operator in _generator_operators(M, V, "annihilator"):
-        constraints.extend(zip(*operator))  # entry (r, c): b_r-coefficient of b_c * g
+        rows = [{} for _ in range(M.dim)]  # entry (r, c): b_r-coefficient of b_c * g
+        for c, column in enumerate(operator):
+            for r, x in column.items():
+                rows[r][c] = x
+        constraints.extend(rows)
     return _kernel(constraints, M.dim, M.field)
 
 
@@ -337,13 +348,14 @@ def subspace_intersect(V: Subspace, W: Subspace, field) -> Subspace:
     if V.ncols != W.ncols:
         raise UsageError("subspaces live in different ambient spaces")
     n = V.ncols
-    zero = field.zero
-    stacked = [list(r) + list(r) for r in V.rows]
-    stacked += [list(r) + [zero] * n for r in W.rows]
     ech = _Echelon(2 * n, field)
-    for r in stacked:
+    for r in V.rows:
+        ech.insert(list(r) + list(r))
+    for r in W.rows:
         ech.insert(r)
-    inter = [row[n:] for row in ech.rows if all(x == 0 for x in row[:n])]
+    inter = [
+        {c - n: x for c, x in row.items()} for pivot, row in ech.rows.items() if pivot >= n
+    ]
     return subspace_from_vectors(inter, n, field)
 
 
@@ -360,18 +372,19 @@ def _chain(M: VectorSpaceModel, V: Subspace) -> list:
     if chain is not None:
         return chain
     p = M.field.p
-    zero = M.field.zero
-    ops = [_sparse(op) for op in _generator_operators(M, V, "oracle_power")]
+    ops = _generator_operators(M, V, "oracle_power")
     chain = [V]
-    while chain[-1].dim:
+    rows = [_sparse(row) for row in V.rows]
+    while rows:
         ech = _Echelon(M.dim, M.field)
         for op in ops:
-            for row in chain[-1].rows:
-                ech.insert(_apply_cols(op, row, p, zero))
+            for row in rows:
+                ech.insert(_times(op, row, p))
         power = ech.snapshot()
         if power == chain[-1]:
             break
         chain.append(power)
+        rows = list(ech.rows.values())
     M.chains[V] = chain
     return chain
 
