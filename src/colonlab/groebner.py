@@ -10,6 +10,12 @@ term-merge kernel (poly._merge), started just past the two cancelling heads.
 buchberger keeps its basis monic and forms each S-pair straight from the two
 reducer entries (_s_pair): g_i's terms are shifted once and g_j's shifted tail
 is merged in. s_polynomial is the public reference for the same polynomial.
+
+An ideal operation that already holds its result's reduced basis publishes it
+with _known_basis instead of leaving it to Buchberger. It may do so only for a
+basis that is reduced in the ring's own order, or for a Groebner basis in
+that order after reduce_gb alone. An elimination contraction is a degrevlex
+basis, so a lex intersection must not publish it.
 """
 
 from __future__ import annotations
@@ -260,6 +266,19 @@ class Ideal:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({gens})"
+
+
+def _known_basis(ring: Ring, basis, generators=None) -> Ideal:
+    """An Ideal whose reduced Groebner basis is already known to be basis.
+
+    basis must be the reduced monic basis in ring's own order, sorted
+    descending, exactly as reduce_gb returns it; generators default to it. A
+    Groebner basis in another order (the lex ring's elimination contractions,
+    which are degrevlex) must never be published this way.
+    """
+    ideal = Ideal(ring, basis if generators is None else generators)
+    ideal._gb = tuple(basis)
+    return ideal
 
 
 def ideal_membership(f: Polynomial, I: Ideal) -> bool:

@@ -9,7 +9,9 @@ so the first step holds no redundant generators.
 The ideals J + I^k, k = 0..delta+1, are built once from that chain
 (_power_ideals). The filtration table reads their lengths (_filtration_table),
 and verify_main_equivalence compares its colon ladder with the same Ideal
-objects, so each of them computes its Groebner basis once.
+objects, so each of them computes its Groebner basis once. J + (1) is the
+known unit ideal, and J + I takes its basis from the chain's first step and
+J's basis by reduce_gb alone, not from a second Buchberger run.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionError, UsageError
-from .groebner import Ideal
-from .ideal_ops import QuotientRing, _dedup_nonzero, ideal_sum, make_quotient
+from .groebner import Ideal, _known_basis, reduce_gb
+from .ideal_ops import QuotientRing, _dedup_nonzero, ideal_sum, make_quotient, unit_ideal
 
 KIND_GRADED = "graded"
 KIND_FILTRATION = "filtration"
@@ -101,13 +103,20 @@ def nilpotency_index(A: QuotientRing, I: Ideal) -> int:
 
 
 def _power_ideals(A: QuotientRing, chain):
-    """[J + I^k for k = 0..delta+1] from I's power chain: J + (1) first, J last."""
+    """[J + I^k for k = 0..delta+1] from I's power chain: (1) first, J last.
+
+    J + I gets its reduced basis without Buchberger. chain[0] is J + I's
+    reduced basis taken mod J, so it keeps every basis element whose leading
+    monomial lies outside J's leading ideal unchanged, and J's basis covers
+    the other leading monomials: together they are a Groebner basis of J + I
+    that reduce_gb alone reduces.
+    """
     J, ring = A.defining, A.ring
-    return (
-        [ideal_sum(J, Ideal(ring, (ring.one,)))]
-        + [ideal_sum(J, Ideal(ring, tuple(gens))) for gens in chain]
-        + [J]
-    )
+    sums = [ideal_sum(J, Ideal(ring, tuple(gens))) for gens in chain]
+    if sums:
+        basis = reduce_gb(J.groebner_basis() + tuple(chain[0]))
+        sums[0] = _known_basis(ring, basis, sums[0].generators)
+    return [unit_ideal(ring)] + sums + [J]
 
 
 def _filtration_table(A: QuotientRing, powers) -> HilbertTable:

@@ -19,12 +19,19 @@ Both colon paths work in a derived ring: elimination in k[t, x] under Elim
 One helper, _carry, moves a polynomial between related rings by an exponent
 map and re-sorts its terms; the coefficients are already canonical and are
 not re-checked.
+
+Results whose reduced basis is already at hand publish it (groebner's
+_known_basis): unit_ideal and irrelevant_power (its monomials, descending),
+ideal_intersect under degrevlex (the contraction of the reduced Elim basis),
+and, after reduce_gb alone, the unpermuted variable colon and the
+exact-division colon under degrevlex. Under lex the contraction is a
+degrevlex basis and the result is left to Buchberger.
 """
 
 from __future__ import annotations
 
 from .errors import InternalError, PreconditionError, UsageError
-from .groebner import Ideal, _divisor
+from .groebner import Ideal, _divisor, _known_basis, reduce_gb
 from .poly import DegRevLex, Polynomial, Ring, _merge, mono_divides
 
 # make_quotient refuses quotients with more standard monomials than this.
@@ -48,7 +55,7 @@ def _require_same_ring(I: Ideal, J: Ideal):
 
 
 def unit_ideal(ring: Ring) -> Ideal:
-    return Ideal(ring, (ring.one,))
+    return _known_basis(ring, (ring.one,))
 
 
 def zero_ideal(ring: Ring) -> Ideal:
@@ -104,12 +111,15 @@ def monomials_of_degree(ring: Ring, degree: int):
 
 
 def irrelevant_power(ring: Ring, i: int) -> Ideal:
-    """The ideal generated by all monomials of total degree exactly i."""
+    """The ideal generated by all monomials of total degree exactly i.
+
+    Those monomials, descending in the ring order, are its reduced basis.
+    """
     if type(i) is not int or i < 0:
         raise UsageError(f"irrelevant-ideal power must be a nonnegative int, got {i!r}")
     if i == 0:
         return unit_ideal(ring)
-    return Ideal(ring, tuple(ring.monomial(e) for e in monomials_of_degree(ring, i)))
+    return _known_basis(ring, tuple(ring.monomial(e) for e in monomials_of_degree(ring, i)))
 
 
 def _carry(ring: Ring, f: Polynomial, move) -> Polynomial:
@@ -121,7 +131,12 @@ def _carry(ring: Ring, f: Polynomial, move) -> Polynomial:
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """Generators of I ∩ J via the elimination trick <t I, (1-t) J>."""
+    """I ∩ J via the elimination trick <t I, (1-t) J>.
+
+    The t-free part of the reduced Elim basis is the reduced basis of I ∩ J
+    in degrevlex, so it is published as the result's basis only when the
+    ring's order is degrevlex; under lex it is just a generating set.
+    """
     _require_same_ring(I, J)
     ring = I.ring
     gb_i, gb_j = I.groebner_basis(), J.groebner_basis()
@@ -140,6 +155,8 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     # Under Elim a t-free leading monomial means a t-free polynomial.
     contracted = [_carry(ring, g, lambda e: e[1:]) for g in basis if g.leading_exps[0] == 0]
     contracted.sort(key=lambda g: g.leading_key, reverse=True)
+    if ring.order == DegRevLex():
+        return _known_basis(ring, contracted)
     return Ideal(ring, tuple(contracted))
 
 
@@ -169,7 +186,9 @@ def _colon_variable(I: Ideal, j: int) -> Ideal:
 
     In degrevlex with x_j last, a homogeneous g is divisible by x_j exactly
     when its leading monomial is, and {g / x_j if x_j | g else g} over a
-    Groebner basis of I is a Groebner basis of I : x_j.
+    Groebner basis of I is a Groebner basis of I : x_j. Without a permutation
+    that basis is in the ring's own order, so reduce_gb alone gives the
+    result's reduced basis.
     """
     ring = I.ring
     n = ring.nvars
@@ -193,21 +212,28 @@ def _colon_variable(I: Ideal, j: int) -> Ideal:
                 tuple((tuple(a - b for a, b in zip(k, shift)), c) for k, c in g.terms),
             )
         gens.append(g if back is None else _carry(ring, g, lambda e: tuple(e[k] for k in back)))
+    if back is None:
+        return _known_basis(ring, reduce_gb(gens))
     return Ideal(ring, tuple(gens))
 
 
 def _colon_single(I: Ideal, f: Polynomial) -> Ideal:
     """I : (f); by _colon_variable when f = c x_j and I is homogeneous.
 
-    Otherwise I : (f) = (I ∩ (f)) divided term-exactly by f.
+    Otherwise I : (f) = (I ∩ (f)) divided term-exactly by f. Leading monomials
+    divide as the polynomials do, so dividing a Groebner basis of I ∩ (f) gives
+    one of I : (f); under degrevlex the meet's basis is known, and reduce_gb
+    alone gives the result's reduced basis.
     """
+    ring = I.ring
     if f.num_terms == 1:
         exps = f.leading_exps
         if sum(exps) == 1 and all(g.is_homogeneous()[0] for g in I.groebner_basis()):
             return _colon_variable(I, exps.index(1))
-    meet = ideal_intersect(I, Ideal(I.ring, (f,)))
-    gens = [_exact_divide(g, f) for g in meet.generators]
-    return Ideal(I.ring, tuple(gens))
+    meet = ideal_intersect(I, Ideal(ring, (f,)))
+    if ring.order == DegRevLex():
+        return _known_basis(ring, reduce_gb([_exact_divide(g, f) for g in meet.groebner_basis()]))
+    return Ideal(ring, tuple(_exact_divide(g, f) for g in meet.generators))
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:

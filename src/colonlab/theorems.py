@@ -10,7 +10,16 @@ lhs_0 is the base ideal and lhs_i = lhs_(i-1) : step, which equals the direct
 colon by the i-th power because (I : A) : B = I : AB. The complete-intersection
 ladder and the corollary step by m; the Gorenstein-quotient ladder steps by
 J + I, since J : (J + I^i) = J : I^i. The corollary takes rung 1 from the
-socle J : m that its Gorenstein check computes.
+socle J : m that its Gorenstein check computes, and so does the
+Gorenstein-quotient ladder when J + I = m (their reduced bases are equal).
+
+The right-hand sides I + m^k of the complete-intersection ladder and the
+corollary have a closed-form reduced basis, since I is homogeneous: I's basis
+elements of degree below k and the degree-k monomials that none of their
+leading monomials divides (_plus_irrelevant_power); no Buchberger runs for
+them. The quotient of the latest complete intersection is kept, so
+check_delta_identity after verify_macaulay_ladder on the same generators
+builds it once.
 
 The Gorenstein-quotient ladder and its filtration table share one list of
 power ideals J + I^k (hilbert._power_ideals), built from one power chain: the
@@ -23,12 +32,13 @@ largest i with m^i != 0 is the top degree.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 from .errors import PreconditionError, UsageError
 from .fields import PrimeField
-from .groebner import Ideal, ideal_equal
+from .groebner import Ideal, _known_basis, ideal_equal
 from .hilbert import (
     HilbertTable,
     _filtration_table,
@@ -40,14 +50,12 @@ from .hilbert import (
 from .ideal_ops import (
     QuotientRing,
     colon_powers,
-    ideal_sum,
     irrelevant_power,
-    is_gorenstein,
     make_quotient,
     monomials_of_degree,
     socle,
 )
-from .poly import Ring
+from .poly import Ring, mono_divides
 
 
 @dataclass(frozen=True)
@@ -75,13 +83,15 @@ class EquivalenceReport:
     rungs: tuple
 
 
-def _complete_intersection(gens):
+@functools.lru_cache(maxsize=1)
+def _complete_intersection(gens: tuple):
     """(quotient, delta) of n homogeneous positive-degree generators in n variables.
 
     The quotient must be Artinian (make_quotient raises otherwise), and
-    delta = sum(d_i) - n.
+    delta = sum(d_i) - n. The latest result is kept, keyed by the tuple of
+    generators, because check_delta_identity usually follows
+    verify_macaulay_ladder on the same generators; errors are not kept.
     """
-    gens = list(gens)
     if not gens:
         raise PreconditionError("no generators given")
     ring = gens[0].ring
@@ -100,14 +110,37 @@ def _complete_intersection(gens):
     return make_quotient(Ideal(ring, tuple(gens))), sum(degrees) - ring.nvars
 
 
+def _gorenstein_socle(A: QuotientRing) -> Ideal:
+    """The socle J : m of A, which must be Gorenstein (socle dimension 1)."""
+    S = socle(A)
+    if A.length - make_quotient(S).length != 1:
+        raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
+    return S
+
+
 def _graded_gorenstein(J: Ideal):
     """(quotient, graded table, socle J : m) of R/J, which must be graded Artinian Gorenstein."""
     A = make_quotient(J)
     table = graded_hilbert(A)  # also enforces homogeneity
-    S = socle(A)
-    if A.length - make_quotient(S).length != 1:
-        raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
-    return A, table, S
+    return A, table, _gorenstein_socle(A)
+
+
+def _plus_irrelevant_power(I: Ideal, k: int) -> Ideal:
+    """I + m^k for homogeneous I, with its reduced basis in closed form.
+
+    That basis is I's basis elements of degree below k together with the
+    degree-k monomials that none of their leading monomials divides; k = 0
+    gives the unit ideal.
+    """
+    ring = I.ring
+    low = [g for g in I.groebner_basis() if sum(g.leading_exps) < k]
+    leads = [g.leading_exps for g in low]
+    tops = [
+        ring.monomial(e)
+        for e in monomials_of_degree(ring, k)
+        if not any(mono_divides(lead, e) for lead in leads)
+    ]
+    return _known_basis(ring, sorted(low + tops, key=lambda g: g.leading_key, reverse=True))
 
 
 def _ladder_rungs(lhs_ideals, rhs_of) -> tuple:
@@ -132,11 +165,11 @@ def verify_macaulay_ladder(gens) -> LadderReport:
     Requires n homogeneous generators in n variables cutting out an Artinian
     quotient (a complete intersection), with delta = sum(d_i) - n.
     """
-    A, delta = _complete_intersection(gens)
-    I, ring = A.defining, A.ring
+    A, delta = _complete_intersection(tuple(gens))
+    I = A.defining
     rungs = _ladder_rungs(
-        colon_powers(I, irrelevant_power(ring, 1), delta + 1),
-        lambda i: ideal_sum(I, irrelevant_power(ring, delta + 1 - i)),
+        colon_powers(I, irrelevant_power(A.ring, 1), delta + 1),
+        lambda i: _plus_irrelevant_power(I, delta + 1 - i),
     )
     return LadderReport(delta, rungs, all(r.equal for r in rungs))
 
@@ -154,17 +187,19 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
     defining ideal, proper in A. Both sides of the equivalence are computed
     and the report's `consistent` flag records whether they agree.
     """
-    if not is_gorenstein(A):
-        raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
+    S = _gorenstein_socle(A)
     try:
         chain = image_power_chain(A, I)
     except UsageError as exc:
         raise PreconditionError(str(exc)) from None
     delta = len(chain)
     powers = _power_ideals(A, chain)  # powers[k] = J + I^k
-    rungs = _ladder_rungs(
-        colon_powers(A.defining, powers[1], delta), lambda i: powers[delta + 1 - i]
-    )
+    J, step = A.defining, powers[1]
+    if delta and ideal_equal(step, irrelevant_power(A.ring, 1)):
+        lhs = [J] + colon_powers(S, step, delta - 1)  # rung 1 is J : m, the socle
+    else:
+        lhs = colon_powers(J, step, delta)
+    rungs = _ladder_rungs(lhs, lambda i: powers[delta + 1 - i])
     ladder_holds = all(r.equal for r in rungs)
     table = _filtration_table(A, powers)
     symmetric = is_symmetric(table)
@@ -180,17 +215,15 @@ def verify_corollary(J: Ideal) -> LadderReport:
     delta is the top degree of the graded table (see the module docstring).
     """
     A, table, S = _graded_gorenstein(J)
-    ring = A.ring
-    m = irrelevant_power(ring, 1)
     delta = table.delta
-    lhs = [J] + (colon_powers(S, m, delta - 1) if delta else [])
-    rungs = _ladder_rungs(lhs, lambda i: ideal_sum(J, irrelevant_power(ring, delta + 1 - i)))
+    lhs = [J] + (colon_powers(S, irrelevant_power(A.ring, 1), delta - 1) if delta else [])
+    rungs = _ladder_rungs(lhs, lambda i: _plus_irrelevant_power(J, delta + 1 - i))
     return LadderReport(delta, rungs, all(r.equal for r in rungs))
 
 
 def check_delta_identity(gens) -> bool:
     """Top nonzero graded degree equals sum(d_i) - n and carries length 1."""
-    A, delta = _complete_intersection(gens)
+    A, delta = _complete_intersection(tuple(gens))
     table = graded_hilbert(A)
     return table.delta == delta and table.values[table.delta] == 1
 
