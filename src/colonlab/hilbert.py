@@ -10,8 +10,8 @@ The ideals J + I^k, k = 0..delta+1, are built once from that chain
 (_power_ideals). The filtration table reads their lengths (_filtration_table),
 and verify_main_equivalence compares its colon ladder with the same Ideal
 objects, so each of them computes its Groebner basis once. J + (1) is the
-known unit ideal, and J + I takes its basis from the chain's first step and
-J's basis by reduce_gb alone, not from a second Buchberger run.
+known unit ideal, and J + I shares the basis that the chain walk computes for
+its unit check (_power_chain returns the chain together with that ideal).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionError, UsageError
-from .groebner import Ideal, _known_basis, reduce_gb
+from .groebner import Ideal, _known_basis
 from .ideal_ops import QuotientRing, _dedup_nonzero, ideal_sum, make_quotient, unit_ideal
 
 KIND_GRADED = "graded"
@@ -75,6 +75,11 @@ def image_power_chain(A: QuotientRing, I: Ideal):
     generators: a redundant generating set would multiply into ever more
     distinct products at each step.
     """
+    return _power_chain(A, I)[0]
+
+
+def _power_chain(A: QuotientRing, I: Ideal):
+    """(image_power_chain(A, I), J + I), the ideal J + I with its basis computed."""
     if I.ring != A.ring:
         raise UsageError("ideal and quotient live in different rings")
     total = ideal_sum(A.defining, Ideal(A.ring, tuple(A.reduce(f) for f in I.generators)))
@@ -90,7 +95,7 @@ def image_power_chain(A: QuotientRing, I: Ideal):
                 "ideal is not nilpotent in the quotient (not m-primary)"
             )
         current = _dedup_nonzero(A.reduce(a * b) for a in current for b in base)
-    return chain
+    return chain, total
 
 
 def nilpotency_index(A: QuotientRing, I: Ideal) -> int:
@@ -102,20 +107,17 @@ def nilpotency_index(A: QuotientRing, I: Ideal) -> int:
     return len(image_power_chain(A, I))
 
 
-def _power_ideals(A: QuotientRing, chain):
-    """[J + I^k for k = 0..delta+1] from I's power chain: (1) first, J last.
+def _power_ideals(A: QuotientRing, chain, total: Ideal):
+    """[J + I^k for k = 0..delta+1] from _power_chain's pair: (1) first, J last.
 
-    J + I gets its reduced basis without Buchberger. chain[0] is J + I's
-    reduced basis taken mod J, so it keeps every basis element whose leading
-    monomial lies outside J's leading ideal unchanged, and J's basis covers
-    the other leading monomials: together they are a Groebner basis of J + I
-    that reduce_gb alone reduces.
+    J + I keeps the generators J + chain[0] (the colon ladder steps by them)
+    and takes its reduced basis from total, the same ideal, whose basis the
+    chain walk has already computed.
     """
     J, ring = A.defining, A.ring
     sums = [ideal_sum(J, Ideal(ring, tuple(gens))) for gens in chain]
     if sums:
-        basis = reduce_gb(J.groebner_basis() + tuple(chain[0]))
-        sums[0] = _known_basis(ring, basis, sums[0].generators)
+        sums[0] = _known_basis(ring, total.groebner_basis(), sums[0].generators)
     return [unit_ideal(ring)] + sums + [J]
 
 
@@ -132,7 +134,7 @@ def _filtration_table(A: QuotientRing, powers) -> HilbertTable:
 
 def filtration_hilbert(A: QuotientRing, I: Ideal) -> HilbertTable:
     """The table H(I, i) = ell(I^i / I^(i+1)) for i = 0..delta."""
-    return _filtration_table(A, _power_ideals(A, image_power_chain(A, I)))
+    return _filtration_table(A, _power_ideals(A, *_power_chain(A, I)))
 
 
 def is_symmetric(table: HilbertTable) -> bool:

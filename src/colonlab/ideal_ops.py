@@ -24,8 +24,9 @@ Results whose reduced basis is already at hand publish it (groebner's
 _known_basis): unit_ideal and irrelevant_power (its monomials, descending),
 ideal_intersect under degrevlex (the contraction of the reduced Elim basis),
 and, after reduce_gb alone, the unpermuted variable colon and the
-exact-division colon under degrevlex. Under lex the contraction is a
-degrevlex basis and the result is left to Buchberger.
+exact-division colon (in any order: it divides the meet's reduced basis).
+Under lex the contraction is a degrevlex basis, so a lex intersection is left
+to Buchberger.
 """
 
 from __future__ import annotations
@@ -221,9 +222,9 @@ def _colon_single(I: Ideal, f: Polynomial) -> Ideal:
     """I : (f); by _colon_variable when f = c x_j and I is homogeneous.
 
     Otherwise I : (f) = (I ∩ (f)) divided term-exactly by f. Leading monomials
-    divide as the polynomials do, so dividing a Groebner basis of I ∩ (f) gives
-    one of I : (f); under degrevlex the meet's basis is known, and reduce_gb
-    alone gives the result's reduced basis.
+    divide as the polynomials do, in any monomial order, so dividing the meet's
+    reduced basis gives a Groebner basis of I : (f), and reduce_gb alone gives
+    the result's reduced basis.
     """
     ring = I.ring
     if f.num_terms == 1:
@@ -231,9 +232,7 @@ def _colon_single(I: Ideal, f: Polynomial) -> Ideal:
         if sum(exps) == 1 and all(g.is_homogeneous()[0] for g in I.groebner_basis()):
             return _colon_variable(I, exps.index(1))
     meet = ideal_intersect(I, Ideal(ring, (f,)))
-    if ring.order == DegRevLex():
-        return _known_basis(ring, reduce_gb([_exact_divide(g, f) for g in meet.groebner_basis()]))
-    return Ideal(ring, tuple(_exact_divide(g, f) for g in meet.generators))
+    return _known_basis(ring, reduce_gb([_exact_divide(g, f) for g in meet.groebner_basis()]))
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:

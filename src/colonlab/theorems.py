@@ -42,9 +42,9 @@ from .groebner import Ideal, _known_basis, ideal_equal
 from .hilbert import (
     HilbertTable,
     _filtration_table,
+    _power_chain,
     _power_ideals,
     graded_hilbert,
-    image_power_chain,
     is_symmetric,
 )
 from .ideal_ops import (
@@ -189,11 +189,11 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
     """
     S = _gorenstein_socle(A)
     try:
-        chain = image_power_chain(A, I)
+        chain, total = _power_chain(A, I)
     except UsageError as exc:
         raise PreconditionError(str(exc)) from None
     delta = len(chain)
-    powers = _power_ideals(A, chain)  # powers[k] = J + I^k
+    powers = _power_ideals(A, chain, total)  # powers[k] = J + I^k
     J, step = A.defining, powers[1]
     if delta and ideal_equal(step, irrelevant_power(A.ring, 1)):
         lhs = [J] + colon_powers(S, step, delta - 1)  # rung 1 is J : m, the socle

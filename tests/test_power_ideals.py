@@ -62,16 +62,20 @@ def test_corollary_delta_is_the_nilpotency_index_of_m(entry):
 
 @pytest.fixture
 def chain_calls(monkeypatch):
-    """Counts image_power_chain calls made through hilbert or theorems."""
+    """Counts power-chain walks, made through hilbert or theorems.
+
+    Every walk runs hilbert._power_chain; image_power_chain calls it through
+    the module attribute, so public calls are counted too.
+    """
     calls = []
-    original = colonlab.hilbert.image_power_chain
+    original = colonlab.hilbert._power_chain
 
     def counted(A, I):
         calls.append(I)
         return original(A, I)
 
-    monkeypatch.setattr(colonlab.hilbert, "image_power_chain", counted)
-    monkeypatch.setattr(colonlab.theorems, "image_power_chain", counted)
+    monkeypatch.setattr(colonlab.hilbert, "_power_chain", counted)
+    monkeypatch.setattr(colonlab.theorems, "_power_chain", counted)
     return calls
 
 
