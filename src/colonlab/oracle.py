@@ -7,7 +7,11 @@ and the Groebner path is a genuine cross-check.
 
 The image of an ideal, the ideal generators of a subspace and its stability
 check all come from one span walk (_ideal_span), which builds the operator of
-each generator it keeps once per call.
+each generator it keeps. A model runs each walk once: it keeps the image of
+each ambient ideal, the generator operators of each stable subspace, each
+power chain, the rungs B^k -> (B, B^(k-1)) of those chains and each
+annihilator. The annihilator of a chain power B^k comes from the rung below,
+0 : B^k = (0 : B^(k-1)) : B, when that one is known (see annihilator).
 
 Inside the module vectors are sparse {column: entry} dicts holding only the
 nonzero entries: the variables' columns, the operators built from them, their
@@ -50,21 +54,18 @@ def _axpy(v, f, row, p) -> dict:
     return v
 
 
+def _reduce(v, rows, p) -> dict:
+    """v reduced in place by reduced echelon rows keyed by pivot: one pass over its support."""
+    for c in [c for c in v if c in rows]:
+        _axpy(v, -v[c], rows[c], p)
+    return v
+
+
 def _times(columns, vec, p) -> dict:
     """The sparse product of a matrix, given by its sparse columns, and a sparse vector."""
     out = {}
     for c, x in vec.items():
         _axpy(out, x, columns[c], p)
-    return out
-
-
-def _mat_mul(a, b, p):
-    """The product of two square row-major matrices, row-major, from a's sparse columns."""
-    a_cols = [_sparse(col) for col in zip(*a)]
-    out = [[0] * len(a) for _ in a]
-    for c, col in enumerate(zip(*b)):
-        for r, x in _times(a_cols, _sparse(col), p).items():
-            out[r][c] = x
     return out
 
 
@@ -88,11 +89,9 @@ class _Echelon:
 
     def insert(self, vec) -> bool:
         """Reduce vec (dense, or a sparse dict) against the basis; absorb it if independent."""
-        v = _sparse(vec)
         rows = self.rows
         p = self.p
-        for c in [c for c in v if c in rows]:
-            _axpy(v, -v[c], rows[c], p)
+        v = _reduce(_sparse(vec), rows, p)
         if not v:
             return False
         pivot = min(v)
@@ -134,7 +133,9 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.ncols))
+        # Equal subspaces share their pivots, as the echelon basis is canonical;
+        # hashing the rows would hash every entry (a Python-level hash per Fraction).
+        return hash((self.pivots, self.ncols))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ncols})"
@@ -150,7 +151,10 @@ def subspace_from_vectors(vectors, ncols, field) -> Subspace:
 class VectorSpaceModel:
     """Multiplication matrices of an Artinian quotient over its standard basis."""
 
-    __slots__ = ("quotient", "ring", "field", "basis", "index", "mats", "cols", "steps", "chains")
+    __slots__ = (
+        "quotient", "ring", "field", "basis", "index", "mats", "cols", "steps",
+        "chains", "images", "operators", "rungs", "annihilators",
+    )
 
     def __init__(self, quotient, basis, index, mats, steps):
         self.quotient = quotient
@@ -161,7 +165,12 @@ class VectorSpaceModel:
         self.mats = mats
         self.cols = tuple(tuple(_sparse(col) for col in zip(*mat)) for mat in mats)
         self.steps = steps
-        self.chains = {}  # stable subspace V -> its power chain [V, V^2, ...] (see _chain)
+        # Memos; each walk or kernel runs once per model (see _chain and annihilator).
+        self.chains = {}  # stable subspace V -> its power chain [V, V^2, ...]
+        self.images = {}  # generators of an ambient ideal -> its image
+        self.operators = {}  # stable subspace -> operators of ideal generators of it
+        self.rungs = {}  # B^k (k >= 2) from a chain -> (B, B^(k-1))
+        self.annihilators = {}  # stable subspace -> its annihilator
 
     @property
     def dim(self) -> int:
@@ -220,7 +229,12 @@ def _coords(nf, index, zero) -> list:
 
 
 def build_model(A: QuotientRing) -> VectorSpaceModel:
-    """Multiplication matrices for every variable; commutativity is asserted."""
+    """Multiplication matrices for every variable; commutativity is asserted.
+
+    The model's sparse columns are derived from the matrices once, and the
+    check runs on them column by column: x_i (x_j b_c) = x_j (x_i b_c) for
+    every pair of variables and every basis element b_c.
+    """
     ring = A.ring
     field = ring.field
     basis = A.standard_monomials
@@ -230,7 +244,6 @@ def build_model(A: QuotientRing) -> VectorSpaceModel:
     gb = A.defining.groebner_basis()
     n = ring.nvars
     dim = len(basis)
-    p = field.p
     zero = field.zero
 
     nf_cache = {}
@@ -249,29 +262,33 @@ def build_model(A: QuotientRing) -> VectorSpaceModel:
             for e in basis
         ]
         mats.append([list(row) for row in zip(*columns)])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _mat_mul(mats[i], mats[j], p) != _mat_mul(mats[j], mats[i], p):
-                raise InternalError(
-                    f"multiplication matrices for {ring.variables[i]} and "
-                    f"{ring.variables[j]} do not commute"
-                )
     steps = [None] * dim
     for r in range(1, dim):
         e = basis[r]
         var = next(i for i, x in enumerate(e) if x > 0)
         parent = tuple(x - 1 if i == var else x for i, x in enumerate(e))
         steps[r] = (var, index[parent])
-    return VectorSpaceModel(A, basis, index, tuple(mats), tuple(steps))
+    M = VectorSpaceModel(A, basis, index, tuple(mats), tuple(steps))
+    p = field.p
+    for i in range(n):
+        for j in range(i + 1, n):
+            ci, cj = M.cols[i], M.cols[j]
+            if any(_times(ci, cj[c], p) != _times(cj, ci[c], p) for c in range(dim)):
+                raise InternalError(
+                    f"multiplication matrices for {ring.variables[i]} and "
+                    f"{ring.variables[j]} do not commute"
+                )
+    return M
 
 
-def _ideal_span(M: VectorSpaceModel, vectors):
+def _ideal_span(M: VectorSpaceModel, vectors, limit):
     """The ideal of A spanned by the vectors, and the operators of those that generate it.
 
     A vector is kept when it lies outside the ideal spanned by the vectors
     kept before it; the columns b_r * v of its operator then join the span
     (column 0 is v itself, as b_0 = 1). No locality is assumed, so this holds
-    on non-local quotients too.
+    on non-local quotients too. The walk gives up, returning None, as soon as
+    the columns of a kept vector take the span's dimension past limit.
     """
     ideal = _Echelon(M.dim, M.field)
     operators = []
@@ -281,27 +298,42 @@ def _ideal_span(M: VectorSpaceModel, vectors):
             operators.append(operator)
             for column in operator[1:]:
                 ideal.insert(column)
+            if len(ideal.rows) > limit:
+                return None
     return ideal, operators
 
 
 def subspace_of_ideal(M: VectorSpaceModel, K: Ideal) -> Subspace:
-    """The image of an ambient ideal in A, closed under all multiplications."""
+    """The image of an ambient ideal in A, closed under all multiplications.
+
+    The walk runs once per model and generator tuple; the operators it keeps
+    generate the image as an ideal, so they serve _chain and annihilator too.
+    """
     if K.ring != M.ring:
         raise UsageError("ideal lives in a different ring")
-    return _ideal_span(M, [M.coords(g) for g in K.generators])[0].snapshot()
+    V = M.images.get(K.generators)
+    if V is None:
+        ideal, operators = _ideal_span(M, [M.coords(g) for g in K.generators], M.dim)
+        V = M.images[K.generators] = ideal.snapshot()
+        M.operators.setdefault(V, operators)
+    return V
 
 
 def _generator_operators(M: VectorSpaceModel, V: Subspace, caller: str) -> list:
-    """The operators of rows of V that generate it as an ideal.
+    """The operators of ideal generators of V, walked once per model and subspace.
 
     The ideal the rows of V generate contains V, so V is an ideal of A
-    (multiplication-stable) exactly when that ideal has dimension dim V.
+    (multiplication-stable) exactly when that ideal has dimension dim V; the
+    walk stops as soon as it outgrows V.
     """
-    if V.ncols != M.dim:
-        raise UsageError("subspace dimension does not match the model")
-    ideal, operators = _ideal_span(M, V.rows)
-    if len(ideal.rows) != V.dim:
-        raise UsageError(f"{caller} requires a multiplication-stable subspace")
+    operators = M.operators.get(V)
+    if operators is None:
+        if V.ncols != M.dim:
+            raise UsageError("subspace dimension does not match the model")
+        span = _ideal_span(M, V.rows, V.dim)
+        if span is None:
+            raise UsageError(f"{caller} requires a multiplication-stable subspace")
+        operators = M.operators[V] = span[1]
     return operators
 
 
@@ -324,19 +356,38 @@ def _kernel(rows, ncols, field) -> Subspace:
 
 
 def annihilator(M: VectorSpaceModel, V: Subspace) -> Subspace:
-    """{a in A : a V = 0}, via the kernel of the stacked maps a -> a * g.
+    """{a in A : a V = 0}, the kernel of the maps a -> (a * g mod W) over generators g.
 
-    V must be stable under the multiplication matrices (an ideal of A), and
-    a V = 0 iff a g = 0 for each of its ideal generators g.
+    V must be stable under the multiplication matrices (an ideal of A). When
+    V = B^k is a power that _chain built and 0 : B^(k-1) is already kept,
+    (I : A) : B = I : AB gives 0 : B^k = (0 : B^(k-1)) : B: the generators g
+    are those of B and W = 0 : B^(k-1), an ideal, so a B^k = 0 iff each
+    a g lies in W. Otherwise the g are ideal generators of V itself and
+    W = 0. Nothing recurses: the first branch only reads the kept rung below.
+    Each result is kept per model, so rungs asked for in ascending order all
+    take the first branch after the first, and a lone query solves only its
+    own rung.
     """
+    ann = M.annihilators.get(V)
+    if ann is not None:
+        return ann
+    rung = M.rungs.get(V)
+    below = M.annihilators.get(rung[1]) if rung else None
+    if below is not None:
+        operators = M.operators[rung[0]]
+        modulus = {c: _sparse(row) for c, row in zip(below.pivots, below.rows)}
+    else:
+        operators, modulus = _generator_operators(M, V, "annihilator"), {}
+    p = M.field.p
     constraints = []
-    for operator in _generator_operators(M, V, "annihilator"):
-        rows = [{} for _ in range(M.dim)]  # entry (r, c): b_r-coefficient of b_c * g
+    for operator in operators:
+        rows = [{} for _ in range(M.dim)]  # entry (r, c): b_r-coefficient of b_c * g mod W
         for c, column in enumerate(operator):
-            for r, x in column.items():
+            for r, x in _reduce(dict(column), modulus, p).items():
                 rows[r][c] = x
         constraints.extend(rows)
-    return _kernel(constraints, M.dim, M.field)
+    M.annihilators[V] = ann = _kernel(constraints, M.dim, M.field)
+    return ann
 
 
 def subspace_intersect(V: Subspace, W: Subspace, field) -> Subspace:
@@ -366,7 +417,8 @@ def _chain(M: VectorSpaceModel, V: Subspace) -> list:
     rows of V^k with ideal generators of V. The dimensions fall until a power
     repeats (zero repeats itself), so the walk takes at most dim V + 1 steps.
     It runs once per model and subspace, and V enters M.chains only once it
-    has passed the stability check.
+    has passed the stability check. Each power V^k it builds (k >= 2) enters
+    M.rungs as (V, V^(k-1)), for annihilator's recurrence.
     """
     chain = M.chains.get(V)
     if chain is not None:
@@ -383,6 +435,7 @@ def _chain(M: VectorSpaceModel, V: Subspace) -> list:
         power = ech.snapshot()
         if power == chain[-1]:
             break
+        M.rungs.setdefault(power, (V, chain[-1]))
         chain.append(power)
         rows = list(ech.rows.values())
     M.chains[V] = chain

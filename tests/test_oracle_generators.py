@@ -8,8 +8,9 @@ row of V^(k-1) times every row of V, and the annihilator of V is the kernel of
 the maps a -> a * v over every row v of V. Inputs are the CORPUS, a non-local
 quotient and hypothesis inputs over F2, F32003 and Q in 2-3 variables.
 
-Also here: the model's commutativity guard, the sparse matrix product against
-a dense one, and the bounds and input checks of the power walk.
+Also here: the model's commutativity guard, the sparse matrix-vector product
+(`_times`) against a dense matrix product, and the bounds and input checks of
+the power walk.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from colonlab import (
     oracle_power,
     subspace_of_ideal,
 )
-from colonlab.oracle import _generator_operators, _mat_mul, subspace_from_vectors
+from colonlab.oracle import _dense, _generator_operators, _sparse, _times, subspace_from_vectors
 
 from conftest import F2, F32003, corpus_ideals, make_ideal
 from test_colon_laws import cases
@@ -248,4 +249,6 @@ def square_pairs(field):
 @given(data=st.data())
 def test_sparse_matrix_product_is_the_dense_product(field, data):
     a, b = data.draw(square_pairs(field))
-    assert _mat_mul(a, b, field.p) == dense_product(a, b, field)
+    a_columns = [_sparse(column) for column in zip(*a)]
+    product = [_dense(_times(a_columns, _sparse(column), field.p), len(a), field.zero) for column in zip(*b)]
+    assert [list(row) for row in zip(*product)] == dense_product(a, b, field)
