@@ -24,7 +24,7 @@ from .ideal_ops import (
     ideal_intersect,
     irrelevant_power,
     make_quotient,
-    socle,
+    socle_with_dimension,
 )
 from .poly import Ring, order_from_name
 from .theorems import (
@@ -125,14 +125,15 @@ def _resolve_ring(args) -> tuple:
     ring = Ring(
         _split_list(vars_text, ","), field_from_name(field_name), order_from_name(order_name)
     )
-    # Generator lists are comma-separated on the command line, semicolon-separated in files.
-    sep = ";" if args.gens is None and "gens" in file_values else ","
-    gens = [ring.parse(s) for s in _split_list(gens_text, sep)]
-    second_text = pick(getattr(args, "ideal2", None), "ideal2")
-    second = None
-    if second_text is not None:
-        sep2 = ";" if getattr(args, "ideal2", None) is None and "ideal2" in file_values else ","
-        second = [ring.parse(s) for s in _split_list(second_text, sep2)]
+
+    def pick_list(flag, key):
+        # Generator lists are comma-separated on the command line, semicolon-separated in files.
+        text = pick(flag, key)
+        sep = "," if flag is not None else ";"
+        return None if text is None else [ring.parse(s) for s in _split_list(text, sep)]
+
+    gens = pick_list(args.gens, "gens")
+    second = pick_list(getattr(args, "ideal2", None), "ideal2")
     poly_text = pick(getattr(args, "poly", None), "poly")
     poly = ring.parse(poly_text) if poly_text is not None else None
     return ring, gens, second, poly
@@ -183,12 +184,11 @@ def _run_ring_command(args, resolved):
         }, 0
     if command == "socle":
         A = make_quotient(I)
-        S = socle(A)
-        socle_dimension = A.length - make_quotient(S).length
+        S, dimension = socle_with_dimension(A)
         return {
             "socle_basis": _basis_strings(S),
-            "socle_dimension": socle_dimension,
-            "gorenstein": socle_dimension == 1,
+            "socle_dimension": dimension,
+            "gorenstein": dimension == 1,
         }, 0
     if command == "ladder":
         report = verify_macaulay_ladder(gens)

@@ -330,9 +330,15 @@ def socle(A: QuotientRing) -> Ideal:
     return colon(A.defining, irrelevant_power(A.ring, 1))
 
 
+def socle_with_dimension(A: QuotientRing) -> tuple:
+    """(S, dim) for the socle S = J : m of A = R/J and dim_k S/J = length(A) - length(R/S)."""
+    S = socle(A)
+    return S, A.length - make_quotient(S).length
+
+
 def is_gorenstein(A: QuotientRing) -> bool:
     """Artinian Gorenstein iff the socle is one-dimensional over the field.
 
     The zero ring's socle is (1), so its socle dimension is 0 and it is not Gorenstein.
     """
-    return A.length - make_quotient(socle(A)).length == 1
+    return socle_with_dimension(A)[1] == 1

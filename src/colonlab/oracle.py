@@ -16,9 +16,11 @@ annihilator. The annihilator of a chain power B^k comes from the rung below,
 Inside the module vectors are sparse {column: entry} dicts holding only the
 nonzero entries: the variables' columns, the operators built from them, their
 products and the echelon rows. A homogeneous element maps each graded piece
-into one piece, so these vectors are nearly empty. The public surface stays
-dense: Subspace.rows is a tuple of dense tuples, and VectorSpaceModel.apply
-and operator_of take and return dense lists.
+into one piece, so these vectors are nearly empty. A Subspace keeps the rows
+of the echelon that built it, keyed by pivot, and shares them with the memos:
+nothing writes to a row once it is kept. Dense vectors exist only as
+read-only views: Subspace.rows builds its dense tuples when read, and
+VectorSpaceModel.coords, apply and operator_of return dense lists.
 """
 
 from __future__ import annotations
@@ -79,17 +81,17 @@ class _Echelon:
     the rows with an entry at the new pivot.
     """
 
-    __slots__ = ("rows", "ncols", "field", "p")
+    __slots__ = ("by_pivot", "ncols", "field", "p")
 
     def __init__(self, ncols, field):
-        self.rows = {}
+        self.by_pivot = {}
         self.ncols = ncols
         self.field = field
         self.p = field.p
 
     def insert(self, vec) -> bool:
         """Reduce vec (dense, or a sparse dict) against the basis; absorb it if independent."""
-        rows = self.rows
+        rows = self.by_pivot
         p = self.p
         v = _reduce(_sparse(vec), rows, p)
         if not v:
@@ -104,32 +106,35 @@ class _Echelon:
         return True
 
     def snapshot(self) -> "Subspace":
-        """The dense canonical Subspace of the rows, in pivot order."""
-        pivots = tuple(sorted(self.rows))
-        zero = self.field.zero
-        rows = tuple(tuple(_dense(self.rows[c], self.ncols, zero)) for c in pivots)
-        return Subspace(rows, pivots, self.ncols)
+        """The canonical Subspace of the rows, which it takes over: insert no more."""
+        return Subspace(self.by_pivot, self.ncols, self.field.zero)
 
 
 class Subspace:
-    """A subspace given by its reduced-row-echelon basis (canonical)."""
+    """A subspace given by its reduced-row-echelon basis (canonical), keyed by pivot."""
 
-    __slots__ = ("rows", "pivots", "ncols")
+    __slots__ = ("by_pivot", "pivots", "ncols", "zero")
 
-    def __init__(self, rows, pivots, ncols):
-        self.rows = rows
-        self.pivots = pivots
+    def __init__(self, by_pivot, ncols, zero):
+        self.by_pivot = by_pivot
+        self.pivots = tuple(sorted(by_pivot))
         self.ncols = ncols
+        self.zero = zero
+
+    @property
+    def rows(self) -> tuple:
+        """The basis as dense tuples in pivot order, built on each read."""
+        return tuple(tuple(_dense(self.by_pivot[c], self.ncols, self.zero)) for c in self.pivots)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def __eq__(self, other):
         return (
             type(other) is Subspace
             and other.ncols == self.ncols
-            and other.rows == self.rows
+            and other.by_pivot == self.by_pivot
         )
 
     def __hash__(self):
@@ -152,18 +157,17 @@ class VectorSpaceModel:
     """Multiplication matrices of an Artinian quotient over its standard basis."""
 
     __slots__ = (
-        "quotient", "ring", "field", "basis", "index", "mats", "cols", "steps",
+        "quotient", "ring", "field", "basis", "index", "cols", "steps",
         "chains", "images", "operators", "rungs", "annihilators",
     )
 
-    def __init__(self, quotient, basis, index, mats, steps):
+    def __init__(self, quotient, basis, index, cols, steps):
         self.quotient = quotient
         self.ring = quotient.ring
         self.field = quotient.ring.field
         self.basis = basis
         self.index = index
-        self.mats = mats
-        self.cols = tuple(tuple(_sparse(col) for col in zip(*mat)) for mat in mats)
+        self.cols = cols  # cols[i][c]: the sparse image of basis element c times variable i
         self.steps = steps
         # Memos; each walk or kernel runs once per model (see _chain and annihilator).
         self.chains = {}  # stable subspace V -> its power chain [V, V^2, ...]
@@ -180,20 +184,15 @@ class VectorSpaceModel:
         """Coordinates of the image of an ambient polynomial."""
         if f.ring != self.ring:
             raise UsageError("polynomial lives in a different ring")
-        return _coords(self.quotient.reduce(f), self.index, self.field.zero)
+        return _dense(_coords(self.quotient.reduce(f), self.index), self.dim, self.field.zero)
 
     def full_space(self) -> Subspace:
         one = self.field.one
-        zero = self.field.zero
-        rows = tuple(
-            tuple(one if c == r else zero for c in range(self.dim))
-            for r in range(self.dim)
-        )
-        return Subspace(rows, tuple(range(self.dim)), self.dim)
+        return Subspace({r: {r: one} for r in range(self.dim)}, self.dim, self.field.zero)
 
     def zero_space(self) -> Subspace:
         """The zero subspace; tests use it as the reference input 0 whose annihilator is A."""
-        return Subspace((), (), self.dim)
+        return Subspace({}, self.dim, self.field.zero)
 
     def apply(self, var: int, vec) -> list:
         """Multiply the element with these coordinates by the given variable."""
@@ -217,23 +216,20 @@ def _operator(M: VectorSpaceModel, v: dict) -> list:
     return columns
 
 
-def _coords(nf, index, zero) -> list:
-    """Coordinates of a normal form over the standard monomials numbered by index."""
-    v = [zero] * len(index)
-    for e, c in nf.iter_terms():
-        try:
-            v[index[e]] = c
-        except KeyError:  # pragma: no cover - normal forms are standard
-            raise InternalError(f"non-standard monomial {e} in a normal form") from None
-    return v
+def _coords(nf, index) -> dict:
+    """Sparse coordinates of a normal form over the standard monomials numbered by index."""
+    try:
+        return {index[e]: c for e, c in nf.iter_terms()}
+    except KeyError as missing:  # pragma: no cover - normal forms are standard
+        raise InternalError(f"non-standard monomial {missing.args[0]} in a normal form") from None
 
 
 def build_model(A: QuotientRing) -> VectorSpaceModel:
     """Multiplication matrices for every variable; commutativity is asserted.
 
-    The model's sparse columns are derived from the matrices once, and the
-    check runs on them column by column: x_i (x_j b_c) = x_j (x_i b_c) for
-    every pair of variables and every basis element b_c.
+    Column c of variable i's matrix is the sparse normal form of x_i b_c. The
+    check runs column by column: x_i (x_j b_c) = x_j (x_i b_c) for every pair
+    of variables and every basis element b_c.
     """
     ring = A.ring
     field = ring.field
@@ -244,7 +240,6 @@ def build_model(A: QuotientRing) -> VectorSpaceModel:
     gb = A.defining.groebner_basis()
     n = ring.nvars
     dim = len(basis)
-    zero = field.zero
 
     nf_cache = {}
 
@@ -252,23 +247,23 @@ def build_model(A: QuotientRing) -> VectorSpaceModel:
         v = nf_cache.get(exps)
         if v is None:
             f = ring.monomial(exps)
-            v = nf_cache[exps] = _coords(f if exps in index else normal_form(f, gb), index, zero)
+            v = nf_cache[exps] = _coords(f if exps in index else normal_form(f, gb), index)
         return v
 
-    mats = []
-    for i in range(n):
-        columns = [
+    cols = tuple(
+        tuple(
             coords_of_monomial(tuple(x + 1 if t == i else x for t, x in enumerate(e)))
             for e in basis
-        ]
-        mats.append([list(row) for row in zip(*columns)])
+        )
+        for i in range(n)
+    )
     steps = [None] * dim
     for r in range(1, dim):
         e = basis[r]
         var = next(i for i, x in enumerate(e) if x > 0)
         parent = tuple(x - 1 if i == var else x for i, x in enumerate(e))
         steps[r] = (var, index[parent])
-    M = VectorSpaceModel(A, basis, index, tuple(mats), tuple(steps))
+    M = VectorSpaceModel(A, basis, index, cols, tuple(steps))
     p = field.p
     for i in range(n):
         for j in range(i + 1, n):
@@ -282,7 +277,7 @@ def build_model(A: QuotientRing) -> VectorSpaceModel:
 
 
 def _ideal_span(M: VectorSpaceModel, vectors, limit):
-    """The ideal of A spanned by the vectors, and the operators of those that generate it.
+    """The ideal of A spanned by the sparse vectors, and the operators of those that generate it.
 
     A vector is kept when it lies outside the ideal spanned by the vectors
     kept before it; the columns b_r * v of its operator then join the span
@@ -294,11 +289,11 @@ def _ideal_span(M: VectorSpaceModel, vectors, limit):
     operators = []
     for v in vectors:
         if ideal.insert(v):
-            operator = _operator(M, _sparse(v))
+            operator = _operator(M, v)
             operators.append(operator)
             for column in operator[1:]:
                 ideal.insert(column)
-            if len(ideal.rows) > limit:
+            if len(ideal.by_pivot) > limit:
                 return None
     return ideal, operators
 
@@ -313,7 +308,8 @@ def subspace_of_ideal(M: VectorSpaceModel, K: Ideal) -> Subspace:
         raise UsageError("ideal lives in a different ring")
     V = M.images.get(K.generators)
     if V is None:
-        ideal, operators = _ideal_span(M, [M.coords(g) for g in K.generators], M.dim)
+        vectors = [_coords(M.quotient.reduce(g), M.index) for g in K.generators]
+        ideal, operators = _ideal_span(M, vectors, M.dim)
         V = M.images[K.generators] = ideal.snapshot()
         M.operators.setdefault(V, operators)
     return V
@@ -330,7 +326,7 @@ def _generator_operators(M: VectorSpaceModel, V: Subspace, caller: str) -> list:
     if operators is None:
         if V.ncols != M.dim:
             raise UsageError("subspace dimension does not match the model")
-        span = _ideal_span(M, V.rows, V.dim)
+        span = _ideal_span(M, [V.by_pivot[c] for c in V.pivots], V.dim)
         if span is None:
             raise UsageError(f"{caller} requires a multiplication-stable subspace")
         operators = M.operators[V] = span[1]
@@ -342,16 +338,12 @@ def _kernel(rows, ncols, field) -> Subspace:
     ech = _Echelon(ncols, field)
     for r in rows:
         ech.insert(r)
-    basis = []
-    for f in range(ncols):
-        if f in ech.rows:
-            continue
-        v = {f: field.one}
-        for c, row in ech.rows.items():
-            coeff = row.get(f)
-            if coeff is not None:
-                v[c] = field.neg(coeff)
-        basis.append(v)
+    rows = ech.by_pivot
+    basis = [
+        {f: field.one, **{c: field.neg(row[f]) for c, row in rows.items() if f in row}}
+        for f in range(ncols)
+        if f not in rows
+    ]
     return subspace_from_vectors(basis, ncols, field)
 
 
@@ -374,8 +366,7 @@ def annihilator(M: VectorSpaceModel, V: Subspace) -> Subspace:
     rung = M.rungs.get(V)
     below = M.annihilators.get(rung[1]) if rung else None
     if below is not None:
-        operators = M.operators[rung[0]]
-        modulus = {c: _sparse(row) for c, row in zip(below.pivots, below.rows)}
+        operators, modulus = M.operators[rung[0]], below.by_pivot
     else:
         operators, modulus = _generator_operators(M, V, "annihilator"), {}
     p = M.field.p
@@ -400,12 +391,12 @@ def subspace_intersect(V: Subspace, W: Subspace, field) -> Subspace:
         raise UsageError("subspaces live in different ambient spaces")
     n = V.ncols
     ech = _Echelon(2 * n, field)
-    for r in V.rows:
-        ech.insert(list(r) + list(r))
-    for r in W.rows:
+    for r in V.by_pivot.values():
+        ech.insert({**r, **{c + n: x for c, x in r.items()}})
+    for r in W.by_pivot.values():
         ech.insert(r)
     inter = [
-        {c - n: x for c, x in row.items()} for pivot, row in ech.rows.items() if pivot >= n
+        {c - n: x for c, x in row.items()} for pivot, row in ech.by_pivot.items() if pivot >= n
     ]
     return subspace_from_vectors(inter, n, field)
 
@@ -426,18 +417,16 @@ def _chain(M: VectorSpaceModel, V: Subspace) -> list:
     p = M.field.p
     ops = _generator_operators(M, V, "oracle_power")
     chain = [V]
-    rows = [_sparse(row) for row in V.rows]
-    while rows:
+    while chain[-1].dim:
         ech = _Echelon(M.dim, M.field)
         for op in ops:
-            for row in rows:
+            for row in chain[-1].by_pivot.values():
                 ech.insert(_times(op, row, p))
         power = ech.snapshot()
         if power == chain[-1]:
             break
         M.rungs.setdefault(power, (V, chain[-1]))
         chain.append(power)
-        rows = list(ech.rows.values())
     M.chains[V] = chain
     return chain
 

@@ -53,7 +53,7 @@ from .ideal_ops import (
     irrelevant_power,
     make_quotient,
     monomials_of_degree,
-    socle,
+    socle_with_dimension,
 )
 from .poly import Ring, mono_divides
 
@@ -112,8 +112,8 @@ def _complete_intersection(gens: tuple):
 
 def _gorenstein_socle(A: QuotientRing) -> Ideal:
     """The socle J : m of A, which must be Gorenstein (socle dimension 1)."""
-    S = socle(A)
-    if A.length - make_quotient(S).length != 1:
+    S, dimension = socle_with_dimension(A)
+    if dimension != 1:
         raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
     return S
 

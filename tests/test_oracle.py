@@ -36,6 +36,12 @@ def mat_mul(a, b, p):
     return [[x % p for x in row] for row in out] if p else out
 
 
+def matrix(M, i):
+    """Dense row-major matrix of variable i, column c being M.apply(i, e_c)."""
+    units = [[M.field.one if r == c else M.field.zero for r in range(M.dim)] for c in range(M.dim)]
+    return [list(row) for row in zip(*(M.apply(i, e) for e in units))]
+
+
 @pytest.fixture
 def square_model():
     ring = Ring(("x", "y"), QQ)
@@ -48,7 +54,7 @@ def test_univariate_multiplication_matrix():
     A = make_quotient(Ideal(ring, (ring.parse("x^2"),)))
     M = build_model(A)
     assert M.basis == ((0,), (1,))
-    assert [[int(v) for v in row] for row in M.mats[0]] == [[0, 0], [1, 0]]
+    assert [[int(v) for v in row] for row in matrix(M, 0)] == [[0, 0], [1, 0]]
 
 
 def test_model_dimensions(square_model):
@@ -56,7 +62,7 @@ def test_model_dimensions(square_model):
 
 
 def test_multiplication_matrices_commute(square_model):
-    mx, my = square_model.mats
+    mx, my = (matrix(square_model, i) for i in range(2))
     assert mat_mul(mx, my, None) == mat_mul(my, mx, None)
 
 
@@ -138,11 +144,12 @@ def test_rref_is_idempotent_and_exact():
             for _ in range(rng.randint(1, 5))
         ]
         V = subspace_from_vectors(vectors, M.dim, QQ)
-        again = subspace_from_vectors([list(r) for r in V.rows], M.dim, QQ)
+        rows = V.rows  # one read: the view builds fresh tuples each time
+        again = subspace_from_vectors([list(r) for r in rows], M.dim, QQ)
         assert again == V
-        for row, pivot in zip(V.rows, V.pivots):
+        for row, pivot in zip(rows, V.pivots):
             assert row[pivot] == QQ.one
-            for other in V.rows:
+            for other in rows:
                 if other is not row:
                     assert other[pivot] == QQ.zero
 
@@ -187,7 +194,7 @@ def test_variable_matrices_are_nilpotent_on_local_instances(corpus):
         A = make_quotient(ideal)
         M = build_model(A)
         p = M.field.p
-        for mat in M.mats:
+        for mat in (matrix(M, i) for i in range(A.ring.nvars)):
             power = mat
             for _ in range(M.dim):
                 power = mat_mul(power, mat, p)
@@ -200,7 +207,7 @@ def test_matrix_columns_reproduce_variable_normal_forms(corpus):
         A = make_quotient(ideal)
         M = build_model(A)
         for i in range(A.ring.nvars):
-            column = [M.mats[i][r][0] for r in range(M.dim)]
+            column = [row[0] for row in matrix(M, i)]
             assert column == M.coords(A.ring.variable(i)), name
 
 
