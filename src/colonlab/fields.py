@@ -193,5 +193,7 @@ def field_from_name(name: str):
         return QQ
     digits = name[1:]
     if name.startswith("F") and digits.isascii() and digits.isdigit():
+        if len(digits) > len(str(MAX_PRIME)):  # int() of a long digit run can raise
+            raise UsageError(f"prime modulus must satisfy 2 <= p < 2^31, got {len(digits)} digits")
         return PrimeField(int(digits))
     raise UsageError(f"unknown field {name!r}; expected 'Q' or 'F<p>'")

@@ -101,7 +101,7 @@ def _power_chain(A: QuotientRing, I: Ideal):
 def nilpotency_index(A: QuotientRing, I: Ideal) -> int:
     """The largest i with I^i nonzero in A (0 when the image of I is zero).
 
-    The verifiers read this off image_power_chain themselves; the tests use it
+    The verifiers read delta off _power_chain themselves; the tests use this
     as the reference delta for ladder lengths and the corollary's delta.
     """
     return len(image_power_chain(A, I))

@@ -1,4 +1,4 @@
-"""Ideal arithmetic: sums, products, powers, intersections, colons, quotients.
+"""Ideal arithmetic: sums, products, powers, intersections, colons, quotients, socles.
 
 Colon by an ideal is realized as the intersection of single-element colons,
 each computed with the classical elimination trick (fresh dominant variable t,
@@ -27,9 +27,19 @@ and, after reduce_gb alone, the unpermuted variable colon and the
 exact-division colon (in any order: it divides the meet's reduced basis).
 Under lex the contraction is a degrevlex basis, so a lex intersection is left
 to Buchberger.
+
+The socle J : m of an Artinian quotient A = R/J is not taken as a colon.
+socle_with_dimension reads it off A's staircase: S/J is the kernel of
+multiplication by the variables on A's standard monomials, its dimension is
+the socle dimension, and its reduced echelon form gives S's reduced basis,
+which is published (the Buchberger-Moeller reading of a basis off an echelon
+form: Marinari, Moeller and Mora, AAECC 4, 1993). Every colon, colon_powers
+included, stays on the paths above.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .errors import InternalError, PreconditionError, UsageError
 from .groebner import Ideal, _divisor, _known_basis, reduce_gb
@@ -327,13 +337,108 @@ def make_quotient(J: Ideal) -> QuotientRing:
 
 def socle(A: QuotientRing) -> Ideal:
     """The socle of A as an ambient ideal: (J : m)."""
-    return colon(A.defining, irrelevant_power(A.ring, 1))
+    return socle_with_dimension(A)[0]
+
+
+def _add_multiple(v: dict, c, w: dict, p) -> None:
+    """v += c * w in place for sparse {column: entry} vectors, dropping zeros."""
+    for k, x in w.items():
+        y = v.get(k, 0) + c * x
+        if p:
+            y %= p
+        if y:
+            v[k] = y
+        else:
+            v.pop(k, None)
+
+
+def _socle_kernel(A: QuotientRing) -> dict:
+    """The kernel of a -> (NF_J(x_1 a), ..., NF_J(x_n a)) on A's standard monomials.
+
+    Returns its reduced row echelon basis over the standard monomials taken
+    descending, as {pivot key: {key: entry}} with entry 1 at the pivot. The
+    standard monomials b are walked ascending. Each image is reduced, greatest
+    column first, against the triangular images kept so far, carrying the
+    combination of standard monomials it stands for. An image that vanishes
+    leaves a kernel vector with pivot b. Its other monomials are below b and
+    come from kept combinations, which hold only monomials whose images were
+    kept, never a pivot; so the kernel basis is already in reduced form.
+    """
+    ring, J = A.ring, A.defining
+    p, one = ring.field.p, ring.field.one
+    inv = ring.field.inv
+    key = ring.order.key
+    n = ring.nvars
+    staircase = [key(e) for e in A.standard_monomials]
+    standard = set(staircase)
+    shifts = [key(tuple(int(k == i) for k in range(n))) for i in range(n)]
+    border = {}  # NF_J of each border monomial met, by its key
+    images = {}  # greatest column -> (image, combination), scaled so the image is 1 there
+    kernel = {}
+    for b in staircase:
+        image = {}
+        for i, shift in enumerate(shifts):
+            k = tuple(map(add, b, shift))
+            if k in standard:
+                image[(k, i)] = one
+                continue
+            terms = border.get(k)
+            if terms is None:
+                terms = border[k] = J.reduce(Polynomial(ring, ((k, one),))).terms
+            for t, c in terms:
+                image[(t, i)] = c
+        combination = {b: one}
+        while image:
+            top = max(image)
+            kept = images.get(top)
+            if kept is None:
+                if image[top] != one:
+                    scale = inv(image[top])
+                    image = {k: c * scale % p if p else c * scale for k, c in image.items()}
+                    combination = {
+                        k: c * scale % p if p else c * scale for k, c in combination.items()
+                    }
+                images[top] = (image, combination)
+                break
+            c = -image[top]
+            _add_multiple(image, c, kept[0], p)
+            _add_multiple(combination, c, kept[1], p)
+        else:
+            kernel[b] = combination
+    return kernel
 
 
 def socle_with_dimension(A: QuotientRing) -> tuple:
-    """(S, dim) for the socle S = J : m of A = R/J and dim_k S/J = length(A) - length(R/S)."""
-    S = socle(A)
-    return S, A.length - make_quotient(S).length
+    """(S, dim) for the socle S = J : m of A = R/J and dim = dim_k S/J, from A alone.
+
+    S/J is the kernel W of a -> (NF_J(x_i a))_i on A's standard monomials
+    (_socle_kernel), so dim = dim W and S = J + (lifts of W). In W's reduced
+    row echelon form over the standard monomials taken descending,
+    in(S) = in(J) ∪ pivots(W): the monomials outside both number
+    length(A) - dim W = length(R/S). So each minimal generator t of in(S)
+    names one element of S's reduced basis: W's row with pivot t, or else J's
+    basis element with lead t, its tail reduced by W's rows. That basis is
+    published; no colon and no second quotient is computed.
+    """
+    ring = A.ring
+    p = ring.field.p
+    exps = ring.order.exps
+    kernel = _socle_kernel(A)
+    leads = [(g.leading_exps, g) for g in A.defining.groebner_basis()]
+    leads += [(exps(k), row) for k, row in kernel.items()]
+    basis = []
+    for e, item in leads:
+        if any(d != e and mono_divides(d, e) for d, _ in leads):
+            continue  # not a minimal generator of in(S)
+        if type(item) is Polynomial:
+            row = dict(item.terms)
+            for k, c in item.terms[1:]:
+                if k in kernel:
+                    _add_multiple(row, -c, kernel[k], p)
+            item = row
+        basis.append(Polynomial(ring, tuple(sorted(item.items(), reverse=True))))
+    basis.sort(key=lambda g: g.leading_key, reverse=True)
+    return _known_basis(ring, basis), len(kernel)
 
 
 def is_gorenstein(A: QuotientRing) -> bool:

@@ -7,6 +7,8 @@
 Whitespace is insignificant. Integer literals reduce into the coefficient
 field (so "1/2" over F_5 means 1 * inv(2) = 3). Parentheses nest at most
 MAX_NESTING deep, so deep input is a ParseError rather than a RecursionError.
+An integer literal has at most MAX_LITERAL_DIGITS digits, the default limit of
+CPython's int() on decimal strings, so a longer one is a ParseError too.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .poly import Polynomial, Ring
 
 _SYMBOLS = "+-*/^()"
 MAX_NESTING = 100
+MAX_LITERAL_DIGITS = 4300
 
 
 class _Token:
@@ -47,6 +50,10 @@ def _tokenize(text: str):
             j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", line, col
+                )
             tokens.append(_Token("INT", int(text[i:j]), line, col))
             col += j - i
             i = j

@@ -249,6 +249,30 @@ def _merge(A, i, B, j, q, shift, p):
     return out
 
 
+# 10^600: CPython never limits int/str conversion below 640 digits.
+_DECIMAL_CHUNK = 10**600
+
+
+def _decimal(n: int) -> str:
+    """str(n) for a nonnegative int of any size, 600 digits at a time.
+
+    str() refuses an int of more digits than sys.get_int_max_str_digits()
+    (4,300 by default); an exact rational coefficient, or an exponent that is
+    a sum of literals, can be longer than that.
+    """
+    chunks = []
+    while n >= _DECIMAL_CHUNK:
+        n, r = divmod(n, _DECIMAL_CHUNK)
+        chunks.append(f"{r:0600d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def _coefficient_text(c) -> str:
+    """The decimal text of a nonnegative coefficient: an int, or a Fraction as num/den."""
+    text = _decimal(c.numerator)
+    return text if c.denominator == 1 else f"{text}/{_decimal(c.denominator)}"
+
+
 class Polynomial:
     """Immutable sparse polynomial; terms strictly descending in the ring order.
 
@@ -396,16 +420,16 @@ class Polynomial:
         pieces = []
         for exps, c in self.iter_terms():
             mono = "*".join(
-                name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
+                name if e == 1 else f"{name}^{_decimal(e)}" for name, e in zip(names, exps) if e
             )
             negative = field.p is None and c < 0
             mag = -c if negative else c
             if not mono:
-                body = str(mag)
+                body = _coefficient_text(mag)
             elif mag == one:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                body = f"{_coefficient_text(mag)}*{mono}"
             pieces.append(("-" if negative else "+", body))
         sign, body = pieces[0]
         text = ("-" if sign == "-" else "") + body

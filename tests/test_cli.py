@@ -348,3 +348,52 @@ def test_rejected_arguments_leave_the_parser_unchanged(capsys):
     code, after, err = run(capsys, *valid)
     assert code == 0 and err == ""
     assert timing_free(after) == timing_free(alone)
+
+
+# A decimal literal past CPython's int/str conversion limit (4,300 digits by
+# default) is refused as input, and a longer exact result is still printed.
+LONG_LITERAL = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--gens", f"{LONG_LITERAL}*x,y"), "(at line 1, column 1)"),
+        (("--gens", f"x^{LONG_LITERAL},y"), "(at line 1, column 3)"),
+        (("--field", f"F{LONG_LITERAL}", "--gens", "x,y"), "2 <= p < 2^31"),
+    ],
+    ids=["coefficient", "exponent", "modulus"],
+)
+def test_long_integer_input_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, "gb", "--vars", "x,y", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error") and message in err
+
+
+def decimal_value(text):
+    """int(text) a few hundred digits at a time, below any int/str limit."""
+    value = 0
+    for start in range(0, len(text), 500):
+        chunk = text[start : start + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_long_rational_result_is_printed(capsys):
+    # The reduced basis of (N x y - 1, x^2 - N) is (y^2 - 1/N^3, x - N^2 y).
+    N = "7" * 3000
+    code, out, err = run(capsys, "gb", "--field", "Q", "--vars", "x,y", f"--gens={N}*x*y-1,x^2-{N}")
+    assert code == 0 and err == ""
+    first, second = re.fullmatch(r"basis:\n  y\^2 - 1/(\d+)\n  x - (\d+)\*y\n", out).groups()
+    n = int(N)
+    assert len(first) > 4300 and decimal_value(first) == n**3
+    assert decimal_value(second) == n**2
+
+
+def test_long_exponent_result_is_printed(capsys):
+    # Each exponent literal has 4,300 digits; their sum has 4,301.
+    N = "9" * 4300
+    code, out, err = run(capsys, "gb", "--vars", "x,y", f"--gens=x^{N}*x^{N},y")
+    assert code == 0 and err == ""
+    exponent = re.fullmatch(r"basis:\n  x\^(\d+)\n  y\n", out).group(1)
+    assert decimal_value(exponent) == 2 * int(N)

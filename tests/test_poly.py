@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from colonlab import ParseError, QQ, Ring, UsageError
+from colonlab.poly import _decimal
 
 from conftest import F2, F5, F32003, random_poly
 
@@ -215,3 +216,9 @@ def test_invalid_ring_construction():
         Ring(("x", "x"), QQ)
     with pytest.raises(UsageError):
         Ring(("2bad",), QQ)
+
+
+@pytest.mark.parametrize("digits", [1, 599, 600, 601, 1200, 1201, 4300])
+def test_decimal_matches_str_across_chunk_boundaries(digits):
+    for n in (10 ** (digits - 1), 10**digits - 1, int("9081726354" * 430) % 10**digits):
+        assert _decimal(n) == str(n)

@@ -1,0 +1,207 @@
+"""The socle J : m read off the quotient's staircase, against elimination.
+
+socle_with_dimension computes the socle of A = R/J by linear algebra on A's
+standard monomials and publishes the socle's reduced basis. The reference is
+spelled out here: J : m as the intersection of the variable colons J : x_j,
+each J ∩ (x_j) taken by elimination in k[t, x] and divided by x_j, the
+intersections by elimination too, and dim = length(A) - length(R/S) from
+standard monomials counted in a box. The inputs are CORPUS and random
+Artinian ideals over F2, F32003 and Q, in degrevlex and lex, homogeneous and
+not, with the zero ring, the fat point and Storch's fixture by name. sympy's
+ideal quotient is a third reference over Q.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from colonlab import (
+    QQ,
+    DegRevLex,
+    Ideal,
+    Lex,
+    PreconditionError,
+    Ring,
+    buchberger,
+    make_quotient,
+    reduce_gb,
+    socle,
+    storch_ideal,
+)
+from colonlab import ideal_ops
+from colonlab.ideal_ops import monomials_of_degree, socle_with_dimension
+from colonlab.poly import mono_divides, mono_quotient
+
+from conftest import CORPUS, F2, F32003, make_ideal
+
+FIELDS = [F2, F32003, QQ]
+ORDERS = [DegRevLex(), Lex()]
+
+
+def reference(generators):
+    return reduce_gb(buchberger(list(generators)))
+
+
+def exact_quotient(g, f):
+    """g / f by long division on leading terms; f must divide g."""
+    field = g.ring.field
+    q = g.ring.zero
+    while not g.is_zero:
+        t = g.ring.monomial(
+            mono_quotient(g.leading_exps, f.leading_exps),
+            field.div(g.leading_coeff, f.leading_coeff),
+        )
+        q, g = q + t, g - t * f
+    return q
+
+
+def eliminated_meet(F, G):
+    """A basis of (F) ∩ (G): the t-free part of a basis of <t F, (1 - t) G> in k[t, x]."""
+    ring = F[0].ring
+    ext = ring.with_elim_variable()
+    t = ext.variable(0)
+
+    def lift(g):
+        return ext.from_terms(((0,) + e, c) for e, c in g.iter_terms())
+
+    gens = [t * lift(f) for f in F] + [(ext.one - t) * lift(g) for g in G]
+    return reference(
+        ring.from_terms((e[1:], c) for e, c in g.iter_terms())
+        for g in reduce_gb(buchberger(gens))
+        if g.leading_exps[0] == 0
+    )
+
+
+def elimination_socle(J):
+    """The reduced basis of J : m = ∩_j (J ∩ (x_j)) / x_j."""
+    ring = J.ring
+    basis = J.groebner_basis()
+    result = None
+    for j in range(ring.nvars):
+        x = ring.variable(j)
+        part = reference(exact_quotient(g, x) for g in eliminated_meet(basis, [x]))
+        result = part if result is None else eliminated_meet(result, part)
+    return result
+
+
+def staircase_length(basis):
+    """Monomials that no leading monomial divides, counted in the box of the pure powers."""
+    leads = [g.leading_exps for g in basis]
+    n = len(leads[0])
+    bounds = [min(e[j] for e in leads if sum(e) == e[j]) for j in range(n)]
+    return sum(
+        1
+        for e in itertools.product(*(range(b) for b in bounds))
+        if not any(mono_divides(lead, e) for lead in leads)
+    )
+
+
+def check_socle(J):
+    A = make_quotient(J)
+    S, dimension = socle_with_dimension(A)
+    expected = elimination_socle(J)
+    assert S.groebner_basis() == expected, J
+    assert dimension == staircase_length(J.groebner_basis()) - staircase_length(expected), J
+    assert reference(S.groebner_basis()) == S.groebner_basis(), J
+    assert socle(A).groebner_basis() == expected
+    return dimension
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name)
+@pytest.mark.parametrize("case", CORPUS, ids=[case[0] for case in CORPUS])
+def test_corpus_socles_match_elimination(case, order):
+    name, field, variables, gens, gorenstein = case
+    dimension = check_socle(make_ideal(field, variables, gens, order))
+    if order == DegRevLex():
+        assert (dimension == 1) == gorenstein, name
+
+
+def random_artinian_ideal(rng, field, order, homogeneous):
+    """Pure powers of each variable plus random forms, with lower terms when not homogeneous."""
+    ring = Ring(("x", "y", "z")[: rng.choice((1, 2, 2, 3))], field, order)
+    n = ring.nvars
+
+    def form(degree):
+        return ring.from_terms(
+            (e, field.random_element(rng))
+            for e in monomials_of_degree(ring, degree)
+            if rng.random() < 0.6
+        )
+
+    gens = []
+    for j in range(n):
+        a = rng.randint(1, 4 if n < 3 else 3)
+        g = ring.monomial(tuple(a if k == j else 0 for k in range(n)))
+        if not homogeneous and a > 1:
+            g = g + form(rng.randint(1, a - 1))
+        gens.append(g)
+    for _ in range(rng.randint(0, 2)):
+        d = rng.randint(1, 3)
+        f = form(d) if homogeneous else form(d) + form(rng.randint(0, d - 1))
+        if not f.is_zero:
+            gens.append(f)
+    return Ideal(ring, tuple(gens))
+
+
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name)
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_random_artinian_socles_match_elimination(field, order, homogeneous):
+    rng = random.Random(f"{field.name}/{order.name}/{homogeneous}")
+    checked = 0
+    while checked < 8:
+        J = random_artinian_ideal(rng, field, order, homogeneous)
+        try:
+            check_socle(J)
+        except PreconditionError:  # a lower term cancelled a pure power
+            continue
+        checked += 1
+
+
+def test_named_socles():
+    ring = Ring(("x", "y"), F2)
+    S, dimension = socle_with_dimension(make_quotient(Ideal(ring, (ring.one,))))
+    assert S.groebner_basis() == (ring.one,) and dimension == 0  # the zero ring
+    fat = make_ideal(QQ, ("x", "y"), ("x^2", "x*y", "y^2"))
+    S, dimension = socle_with_dimension(make_quotient(fat))
+    assert [str(g) for g in S.groebner_basis()] == ["x", "y"] and dimension == 2
+    assert check_socle(storch_ideal()) == 1
+
+
+def test_socle_is_published_without_colon_or_quotient(monkeypatch):
+    A = make_quotient(make_ideal(QQ, ("x", "y", "z"), ("x^2+y*z", "y^3", "z^2-x*y")))
+
+    def refuse(*args):
+        raise AssertionError("the socle kernel took a colon or a second quotient")
+
+    monkeypatch.setattr(ideal_ops, "colon", refuse)
+    monkeypatch.setattr(ideal_ops, "make_quotient", refuse)
+    S, dimension = socle_with_dimension(A)
+    assert S._gb is not None  # published through _known_basis
+    assert dimension >= 1
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [("x^2", "y^2"), ("x^2", "x*y", "y^2"), ("x^3", "y^2", "x*y"), ("x^2+y^2", "x*y^2"),
+     ("x^2-y", "y^3")],
+    ids=lambda g: ",".join(g),
+)
+def test_socles_match_sympy_quotient_over_q(gens):
+    sympy = pytest.importorskip("sympy")
+    J = make_ideal(QQ, ("x", "y"), gens)
+    x, y = symbols = sympy.symbols("x y")
+    R = sympy.QQ.old_poly_ring(x, y, order="grevlex")
+    quotient = R.ideal(*(sympy.sympify(g.replace("^", "**")) for g in gens)).quotient(R.ideal(x, y))
+    exprs = [R.to_sympy(g) for g in quotient.gens]
+    expected = sympy.groebner(exprs, *symbols, order="grevlex", domain=sympy.QQ)
+    got = socle_with_dimension(make_quotient(J))[0].groebner_basis()
+    as_pairs = {
+        frozenset((e, Fraction(int(c.numerator), int(c.denominator))) for e, c in g.terms())
+        for g in expected.polys
+    }
+    assert {frozenset(g.iter_terms()) for g in got} == as_pairs
