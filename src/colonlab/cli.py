@@ -37,6 +37,9 @@ from .theorems import (
     verify_symmetry,
 )
 
+# random-ci refuses a larger --count before it runs any instance.
+MAX_RANDOM_CI_COUNT = 1_000
+
 
 @functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random-ci", help="randomized complete-intersection ladder suite")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--count", type=int, default=10, help="number of instances")
+    p.add_argument(
+        "--count",
+        type=int,
+        default=10,
+        help=f"number of instances, 1 to {MAX_RANDOM_CI_COUNT} (default 10)",
+    )
     p.add_argument("--json", action="store_true")
     return parser
 
@@ -248,6 +256,8 @@ def _run_storch(args):
 def _run_random_ci(args):
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
+    if args.count > MAX_RANDOM_CI_COUNT:
+        raise UsageError(f"--count must be at most {MAX_RANDOM_CI_COUNT}, got {args.count}")
     rng = random.Random(args.seed)
     instances = []
     all_hold = True

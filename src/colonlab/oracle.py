@@ -1,9 +1,13 @@
 """Independent linear-algebra model of an Artinian quotient.
 
-The model is built from normal forms only (the multiplication matrices) and
-everything after that is exact row reduction: no colon, intersection, or power
-routine from the ideal layer is ever called, so agreement between this module
-and the Groebner path is a genuine cross-check.
+The model reads only J's reduced basis: build_model walks the border
+monomials x_i b_c ascending in the term order, a leading monomial of a basis
+element giving minus its tail and every other border monomial coming from a
+smaller one through a matrix already built. The images of ambient
+polynomials are monomials walked through those matrices. Everything after
+that is exact row reduction: no normal form, colon, intersection, power or
+Hilbert routine of the Groebner path is ever called, so agreement between
+this module and that path is a genuine cross-check.
 
 The image of an ideal, the ideal generators of a subspace and its stability
 check all come from one span walk (_ideal_span), which builds the operator of
@@ -11,7 +15,8 @@ each generator it keeps. A model runs each walk once: it keeps the image of
 each ambient ideal, the generator operators of each stable subspace, each
 power chain, the rungs B^k -> (B, B^(k-1)) of those chains and each
 annihilator. The annihilator of a chain power B^k comes from the rung below,
-0 : B^k = (0 : B^(k-1)) : B, when that one is known (see annihilator).
+0 : B^k = (0 : B^(k-1)) : B, when that one is known, and its kernel is taken
+in one walk over the unknowns (_null_space).
 
 Inside the module vectors are sparse {column: entry} dicts holding only the
 nonzero entries: the variables' columns, the operators built from them, their
@@ -26,7 +31,7 @@ VectorSpaceModel.coords, apply and operator_of return dense lists.
 from __future__ import annotations
 
 from .errors import InternalError, PreconditionError, UsageError
-from .groebner import Ideal, normal_form
+from .groebner import Ideal
 from .hilbert import KIND_FILTRATION, HilbertTable
 from .ideal_ops import QuotientRing
 
@@ -184,7 +189,7 @@ class VectorSpaceModel:
         """Coordinates of the image of an ambient polynomial."""
         if f.ring != self.ring:
             raise UsageError("polynomial lives in a different ring")
-        return _dense(_coords(self.quotient.reduce(f), self.index), self.dim, self.field.zero)
+        return _dense(_image(self, f), self.dim, self.field.zero)
 
     def full_space(self) -> Subspace:
         one = self.field.one
@@ -216,20 +221,52 @@ def _operator(M: VectorSpaceModel, v: dict) -> list:
     return columns
 
 
-def _coords(nf, index) -> dict:
-    """Sparse coordinates of a normal form over the standard monomials numbered by index."""
-    try:
-        return {index[e]: c for e, c in nf.iter_terms()}
-    except KeyError as missing:  # pragma: no cover - normal forms are standard
-        raise InternalError(f"non-standard monomial {missing.args[0]} in a normal form") from None
+def _walk(M: VectorSpaceModel, exps) -> dict:
+    """Sparse coordinates of the monomial x^exps, walked through the matrices.
+
+    A standard monomial is a unit vector. Any other starts from 1 and takes one
+    matrix step per unit of each exponent; the walk stops once the vector is
+    zero, as a high enough power is in a local quotient.
+    """
+    one = M.field.one
+    c = M.index.get(exps)
+    if c is not None:
+        return {c: one}
+    p = M.field.p
+    v = {0: one}
+    for columns, k in zip(M.cols, exps):
+        for _ in range(k):
+            v = _times(columns, v, p)
+            if not v:
+                return v
+    return v
+
+
+def _image(M: VectorSpaceModel, f) -> dict:
+    """Sparse coordinates of the image of an ambient polynomial, term by term."""
+    p = M.field.p
+    v = {}
+    for exps, c in f.iter_terms():
+        _axpy(v, c, _walk(M, exps), p)
+    return v
 
 
 def build_model(A: QuotientRing) -> VectorSpaceModel:
-    """Multiplication matrices for every variable; commutativity is asserted.
+    """Multiplication matrices for every variable, read off J's reduced basis.
 
-    Column c of variable i's matrix is the sparse normal form of x_i b_c. The
-    check runs column by column: x_i (x_j b_c) = x_j (x_i b_c) for every pair
-    of variables and every basis element b_c.
+    Column c of variable i's matrix holds the coordinates of x_i b_c. A
+    standard x_i b_c gives a unit vector. The border monomials are walked
+    ascending in the term order: the leading monomial of a basis element g
+    gives -(tail of g), and any other border monomial t has a variable x_j
+    with t / x_j outside the staircase too, so its column is M_j applied to
+    the column of t / x_j. Every coordinate of a column sits below its
+    monomial, so the columns M_j needs are built already.
+
+    Commutativity is asserted column by column: x_i (x_j b_c) = x_j (x_i b_c)
+    for every pair of variables and every basis element b_c. Commuting
+    multiplication matrices of a border prebasis certify a border basis
+    (Mourrain, AAECC-13, LNCS 1719, 1999), so a published basis that is not a
+    Groebner basis fails here.
     """
     ring = A.ring
     field = ring.field
@@ -237,34 +274,46 @@ def build_model(A: QuotientRing) -> VectorSpaceModel:
     if not basis:
         raise UsageError("cannot model the zero ring")
     index = {e: i for i, e in enumerate(basis)}
-    gb = A.defining.groebner_basis()
     n = ring.nvars
     dim = len(basis)
-
-    nf_cache = {}
-
-    def coords_of_monomial(exps):
-        v = nf_cache.get(exps)
-        if v is None:
-            f = ring.monomial(exps)
-            v = nf_cache[exps] = _coords(f if exps in index else normal_form(f, gb), index)
-        return v
-
-    cols = tuple(
-        tuple(
-            coords_of_monomial(tuple(x + 1 if t == i else x for t, x in enumerate(e)))
-            for e in basis
-        )
-        for i in range(n)
-    )
+    p = field.p
+    one = field.one
+    cols = [[None] * dim for _ in range(n)]
+    border = {}  # border monomial -> the (variable, column) pairs that reach it
+    for c, e in enumerate(basis):
+        for i in range(n):
+            t = e[:i] + (e[i] + 1,) + e[i + 1 :]
+            r = index.get(t)
+            if r is None:
+                border.setdefault(t, []).append((i, c))
+            else:
+                cols[i][c] = {r: one}
+    columns = {}  # border monomial -> its column, the basis's leading monomials first
+    for g in A.defining.groebner_basis():
+        (lead, lc), *tail = g.iter_terms()
+        scale = field.neg(field.inv(lc))
+        try:
+            columns[lead] = {index[e]: field.mul(scale, x) for e, x in tail}
+        except KeyError as missing:
+            raise InternalError(f"non-standard monomial {missing.args[0]} in a basis tail") from None
+    for t in sorted(border, key=ring.order.key):
+        column = columns.get(t)
+        if column is None:
+            j, u = next(
+                (j, u)
+                for j in range(n)
+                if t[j] and (u := t[:j] + (t[j] - 1,) + t[j + 1 :]) not in index
+            )
+            column = columns[t] = _times(cols[j], columns[u], p)
+        for i, c in border[t]:
+            cols[i][c] = column
     steps = [None] * dim
     for r in range(1, dim):
         e = basis[r]
         var = next(i for i, x in enumerate(e) if x > 0)
         parent = tuple(x - 1 if i == var else x for i, x in enumerate(e))
         steps[r] = (var, index[parent])
-    M = VectorSpaceModel(A, basis, index, cols, tuple(steps))
-    p = field.p
+    M = VectorSpaceModel(A, basis, index, tuple(map(tuple, cols)), tuple(steps))
     for i in range(n):
         for j in range(i + 1, n):
             ci, cj = M.cols[i], M.cols[j]
@@ -308,7 +357,7 @@ def subspace_of_ideal(M: VectorSpaceModel, K: Ideal) -> Subspace:
         raise UsageError("ideal lives in a different ring")
     V = M.images.get(K.generators)
     if V is None:
-        vectors = [_coords(M.quotient.reduce(g), M.index) for g in K.generators]
+        vectors = [_image(M, g) for g in K.generators]
         ideal, operators = _ideal_span(M, vectors, M.dim)
         V = M.images[K.generators] = ideal.snapshot()
         M.operators.setdefault(V, operators)
@@ -333,18 +382,40 @@ def _generator_operators(M: VectorSpaceModel, V: Subspace, caller: str) -> list:
     return operators
 
 
-def _kernel(rows, ncols, field) -> Subspace:
-    """Canonical basis of {x : rows @ x = 0}."""
-    ech = _Echelon(ncols, field)
-    for r in rows:
-        ech.insert(r)
-    rows = ech.by_pivot
-    basis = [
-        {f: field.one, **{c: field.neg(row[f]) for c, row in rows.items() if f in row}}
-        for f in range(ncols)
-        if f not in rows
-    ]
-    return subspace_from_vectors(basis, ncols, field)
+def _null_space(columns, field) -> Subspace:
+    """The canonical basis of {a : sum_c a_c columns[c] = 0}, in one walk.
+
+    The columns are sparse dicts over comparable keys. They are walked from
+    the last to the first, and each is reduced, greatest key first, against
+    the triangular columns kept so far, carrying the combination of unknowns
+    it stands for. A column that vanishes leaves a kernel row with pivot c and
+    entry 1 there. Its other entries sit at later unknowns whose columns were
+    kept, never at a pivot, so the rows already form the reduced echelon
+    basis (pivot = least column) and need no second echelon pass.
+    """
+    p = field.p
+    one = field.one
+    kept = {}  # greatest key -> (column, combination), scaled to 1 at that key
+    kernel = {}
+    for c in range(len(columns) - 1, -1, -1):
+        image = dict(columns[c])
+        combination = {c: one}
+        while image:
+            top = max(image)
+            row = kept.get(top)
+            if row is None:
+                if image[top] != one:
+                    scale = field.inv(image[top])
+                    image = _axpy({}, scale, image, p)
+                    combination = _axpy({}, scale, combination, p)
+                kept[top] = (image, combination)
+                break
+            f = -image[top]
+            _axpy(image, f, row[0], p)
+            _axpy(combination, f, row[1], p)
+        else:
+            kernel[c] = combination
+    return Subspace(kernel, len(columns), field.zero)
 
 
 def annihilator(M: VectorSpaceModel, V: Subspace) -> Subspace:
@@ -358,7 +429,8 @@ def annihilator(M: VectorSpaceModel, V: Subspace) -> Subspace:
     W = 0. Nothing recurses: the first branch only reads the kept rung below.
     Each result is kept per model, so rungs asked for in ascending order all
     take the first branch after the first, and a lone query solves only its
-    own rung.
+    own rung. The kernel comes from _null_space over the stacked images
+    (b_c g_l mod W)_l of the unknowns b_c.
     """
     ann = M.annihilators.get(V)
     if ann is not None:
@@ -370,14 +442,15 @@ def annihilator(M: VectorSpaceModel, V: Subspace) -> Subspace:
     else:
         operators, modulus = _generator_operators(M, V, "annihilator"), {}
     p = M.field.p
-    constraints = []
-    for operator in operators:
-        rows = [{} for _ in range(M.dim)]  # entry (r, c): b_r-coefficient of b_c * g mod W
-        for c, column in enumerate(operator):
-            for r, x in _reduce(dict(column), modulus, p).items():
-                rows[r][c] = x
-        constraints.extend(rows)
-    M.annihilators[V] = ann = _kernel(constraints, M.dim, M.field)
+    dim = M.dim
+    columns = []  # column c, entry l * dim + r: b_r-coefficient of b_c * g_l mod W
+    for c in range(dim):
+        image = {}
+        for l, operator in enumerate(operators):
+            for r, x in _reduce(dict(operator[c]), modulus, p).items():
+                image[l * dim + r] = x
+        columns.append(image)
+    M.annihilators[V] = ann = _null_space(columns, M.field)
     return ann
 
 

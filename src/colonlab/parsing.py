@@ -8,13 +8,15 @@ Whitespace is insignificant. Integer literals reduce into the coefficient
 field (so "1/2" over F_5 means 1 * inv(2) = 3). Parentheses nest at most
 MAX_NESTING deep, so deep input is a ParseError rather than a RecursionError.
 An integer literal has at most MAX_LITERAL_DIGITS digits, the default limit of
-CPython's int() on decimal strings, so a longer one is a ParseError too.
+CPython's int() on decimal strings, so a longer one is a ParseError too. That
+bound is the parser's own policy: a literal is converted 600 digits at a time
+(as poly prints one), so a lower interpreter limit refuses nothing below it.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .poly import Polynomial, Ring
+from .poly import _DECIMAL_CHUNK, Polynomial, Ring
 
 _SYMBOLS = "+-*/^()"
 MAX_NESTING = 100
@@ -29,6 +31,19 @@ class _Token:
         self.value = value
         self.line = line
         self.col = col
+
+
+def _int(digits: str) -> int:
+    """The value of a run of decimal digits, converted 600 digits at a time.
+
+    int() refuses more digits than sys.get_int_max_str_digits(), which can be
+    lowered to 640; no chunk here comes near that.
+    """
+    head = len(digits) % 600 or 600
+    value = int(digits[:head])
+    for start in range(head, len(digits), 600):
+        value = value * _DECIMAL_CHUNK + int(digits[start : start + 600])
+    return value
 
 
 def _tokenize(text: str):
@@ -54,7 +69,7 @@ def _tokenize(text: str):
                 raise ParseError(
                     f"integer literal longer than {MAX_LITERAL_DIGITS} digits", line, col
                 )
-            tokens.append(_Token("INT", int(text[i:j]), line, col))
+            tokens.append(_Token("INT", _int(text[i:j]), line, col))
             col += j - i
             i = j
             continue

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,25 @@ def test_random_ci_count_below_one_is_usage_error(capsys, count):
     assert "--count must be at least 1" in err
 
 
+def test_random_ci_count_above_the_bound_is_usage_error_before_any_instance(capsys, monkeypatch):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr(cli, "random_complete_intersection", no_instance)
+    count = str(cli.MAX_RANDOM_CI_COUNT + 1)
+    code, out, err = run(capsys, "random-ci", "--count", count, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --count must be at most 1000, got {count}")
+    assert cli.MAX_RANDOM_CI_COUNT == 1000
+
+
+def test_random_ci_help_states_the_count_bound(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["random-ci", "--help"])
+    assert done.value.code == 0
+    assert "1 to 1000" in " ".join(capsys.readouterr().out.split())
+
+
 def test_deep_nesting_is_parse_error(capsys):
     depth = 5000
     gens = "(" * depth + "x" + ")" * depth
@@ -368,6 +388,22 @@ def test_long_integer_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, "gb", "--vars", "x,y", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error") and message in err
+
+
+def test_literal_below_the_policy_parses_under_a_lowered_int_limit(capsys):
+    # The interpreter's int/str limit can be lowered to 640 digits; the parser
+    # converts a literal 600 digits at a time, so 4,300 digits stay the bound.
+    argv = ("gb", "--vars", "x,y", "--gens", f"{'1' * 700}*x,y")
+    code, expected, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and err == ""
+    assert out == expected == "basis:\n  x\n  y\n"
 
 
 def decimal_value(text):

@@ -2,10 +2,11 @@
 
 Parses the package sources with `ast` (nothing is imported) and checks the
 design invariant: no module but the package's `__init__` imports `oracle`, and
-`oracle` takes from the rest of the package only `normal_form`, the types it
-reads (`Ideal`, `QuotientRing`, `HilbertTable`, `KIND_FILTRATION`) and the
-exception types of `errors`. Any colon, intersection, power or Hilbert routine
-it imported would make agreement between the two paths no evidence.
+`oracle` takes from the rest of the package only the types it reads (`Ideal`,
+`QuotientRing`, `HilbertTable`, `KIND_FILTRATION`) and the exception types of
+`errors`. It builds its model from J's reduced basis alone, so not even
+`normal_form` is shared: any reduction, colon, intersection, power or Hilbert
+routine it imported would make agreement between the two paths no evidence.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "colonlab"
 # (errors holds only exception types).
 ORACLE_ALLOWED = {
     "errors": None,
-    "groebner": {"Ideal", "normal_form"},
+    "groebner": {"Ideal"},
     "ideal_ops": {"QuotientRing"},
     "hilbert": {"HilbertTable", "KIND_FILTRATION"},
 }

@@ -8,9 +8,11 @@ row of V^(k-1) times every row of V, and the annihilator of V is the kernel of
 the maps a -> a * v over every row v of V. Inputs are the CORPUS, a non-local
 quotient and hypothesis inputs over F2, F32003 and Q in 2-3 variables.
 
-Also here: the model's commutativity guard, the sparse matrix-vector product
-(`_times`) against a dense matrix product, and the bounds and input checks of
-the power walk.
+Also here: the model's columns and images against normal forms computed in
+the tests (the oracle reads only J's reduced basis), its commutativity guard
+against a published basis that is not a Groebner basis, the sparse
+matrix-vector product (`_times`) against a dense matrix product, and the
+bounds and input checks of the power walk.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import colonlab.oracle as oracle
 from colonlab import (
     QQ,
     Ideal,
     InternalError,
+    Lex,
     PreconditionError,
     Ring,
     UsageError,
@@ -33,13 +35,15 @@ from colonlab import (
     build_model,
     irrelevant_power,
     make_quotient,
+    normal_form,
     oracle_filtration_hilbert,
     oracle_power,
     subspace_of_ideal,
 )
+from colonlab.groebner import _known_basis
 from colonlab.oracle import _dense, _generator_operators, _sparse, _times, subspace_from_vectors
 
-from conftest import F2, F32003, corpus_ideals, make_ideal
+from conftest import CORPUS, F2, F32003, corpus_ideals, make_ideal
 from test_colon_laws import cases
 
 FIELDS = pytest.mark.parametrize("field", [F2, F32003, QQ], ids=lambda f: f.name)
@@ -206,18 +210,57 @@ def test_unstable_subspaces_are_rejected_and_zero_is_an_ideal():
         assert all(oracle_power(M, zero, k) == zero for k in (1, 2, 5))
 
 
-def test_build_model_rejects_noncommuting_matrices(monkeypatch):
-    # Reporting x^2 = 1 in k[x,y]/(x^2, y^2) breaks x*y = y*x on the basis element x.
-    A = make_quotient(make_ideal(QQ, ("x", "y"), ("x^2", "y^2")))
-    x2 = A.ring.parse("x^2")
-    true_normal_form = oracle.normal_form
-
-    def corrupted(f, gb):
-        return A.ring.one if f == x2 else true_normal_form(f, gb)
-
-    monkeypatch.setattr(oracle, "normal_form", corrupted)
+def test_build_model_rejects_noncommuting_matrices():
+    # (x^2, x*y + y, y^2) is no Groebner basis: y*x^2 - x*(x*y + y) reduces to y.
+    # Published as one, its matrices on the staircase {1, x, y} break
+    # x*y = y*x on the basis element x.
+    ring = Ring(("x", "y"), QQ)
+    basis = tuple(ring.parse(s) for s in ("x^2", "x*y + y", "y^2"))
+    A = make_quotient(_known_basis(ring, basis))
+    assert A.standard_monomials == ((0, 0), (0, 1), (1, 0))
     with pytest.raises(InternalError, match="multiplication matrices for x and y do not commute"):
         build_model(A)
+
+
+def test_build_model_rejects_a_basis_tail_outside_the_staircase():
+    # The tail y^2 of x*y + y^2 is itself a leading monomial.
+    ring = Ring(("x", "y"), QQ)
+    basis = tuple(ring.parse(s) for s in ("x^2", "x*y + y^2", "y^2"))
+    A = make_quotient(_known_basis(ring, basis))
+    with pytest.raises(InternalError, match=r"non-standard monomial \(0, 2\) in a basis tail"):
+        build_model(A)
+
+
+def normal_form_coords(M, f):
+    """The dense coordinates of normal_form(f, J's basis), computed here."""
+    out = [M.field.zero] * M.dim
+    for e, c in normal_form(f, M.quotient.defining.groebner_basis()).iter_terms():
+        out[M.index[e]] = c
+    return out
+
+
+@FIELDS
+def test_columns_and_images_are_normal_forms(field):
+    # Every column cols[i][c] and the image of a non-monomial polynomial equal
+    # the normal forms of x_i b_c and of that polynomial, in degrevlex and lex.
+    inputs = [(variables, gens) for _, _, variables, gens, _ in CORPUS] + [(("x", "y"), NON_LOCAL)]
+    for variables, gens in inputs:
+        for order in (None, Lex()):
+            M = build_model(make_quotient(make_ideal(field, variables, gens, order)))
+            ring = M.ring
+            for i in range(ring.nvars):
+                for c, e in enumerate(M.basis):
+                    product = ring.monomial(e) * ring.variable(i)
+                    assert _dense(M.cols[i][c], M.dim, M.field.zero) == normal_form_coords(M, product)
+            f = sum((ring.variable(i) for i in range(ring.nvars)), ring.one)
+            f = f * f * f + ring.monomial((7,) + (0,) * (ring.nvars - 1))
+            assert M.coords(f) == normal_form_coords(M, f)
+
+
+def test_a_large_exponent_walks_to_its_normal_form():
+    M = build_model(make_quotient(make_ideal(F32003, ("x", "y"), NON_LOCAL)))
+    f = M.ring.parse("x^100000*y^3 + 5*x^3")
+    assert M.coords(f) == normal_form_coords(M, f) == [0, 0, 5, 1]  # x*y + 5*x
 
 
 def dense_product(a, b, field):
