@@ -33,8 +33,10 @@ socle_with_dimension reads it off A's staircase: S/J is the kernel of
 multiplication by the variables on A's standard monomials, its dimension is
 the socle dimension, and its reduced echelon form gives S's reduced basis,
 which is published (the Buchberger-Moeller reading of a basis off an echelon
-form: Marinari, Moeller and Mora, AAECC 4, 1993). Every colon, colon_powers
-included, stays on the paths above.
+form: Marinari, Moeller and Mora, AAECC 4, 1993). Nor is a colon by a power
+of m: S : m^(i+1) = (S : m^i) : m is the socle of R/(S : m^i), so
+_socle_series walks those rungs as socles of quotients, and the Gorenstein
+ladders of theorems take it. colon and colon_powers stay on the paths above.
 """
 
 from __future__ import annotations
@@ -304,9 +306,15 @@ class QuotientRing:
 def make_quotient(J: Ideal) -> QuotientRing:
     """Build R/J with enumerated standard monomials; J must cut out an Artinian ring.
 
-    The standard monomials are walked up the staircase (each is reached from
-    the one with its last nonzero exponent lowered by one), so the work tracks
-    the quotient's length; a length above MAX_QUOTIENT_LENGTH is refused.
+    The staircase is walked by prefix, the exponents of the first n-1
+    variables: each prefix is reached from the one with its last nonzero
+    exponent lowered by one. Above a prefix e the standard monomials are
+    e + (k,) for k below the least last exponent among the leading monomials
+    whose first n-1 exponents divide e (the pure power of the last variable
+    is one of them). Where that least exponent is 0, e lies in in(J), and so
+    does every prefix above it, so the walk stops there. The divisibility tests
+    thus track the number of prefixes, not the quotient's length; a length
+    above MAX_QUOTIENT_LENGTH is refused.
     """
     ring = J.ring
     gb = J.groebner_basis()
@@ -318,18 +326,20 @@ def make_quotient(J: Ideal) -> QuotientRing:
                 f"quotient is not Artinian: no pure power of variable "
                 f"'{ring.variables[j]}' among the leading monomials"
             )
+    heads = [(e[:-1], e[-1]) for e in leads]
     std = []
-    stack = [((0,) * n, 0)]  # (exponents, first variable it may still raise)
+    stack = [((0,) * (n - 1), 0)]  # (prefix, first variable it may still raise)
     while stack:
         e, first = stack.pop()
-        if any(mono_divides(lead, e) for lead in leads):
+        bound = min(last for head, last in heads if mono_divides(head, e))
+        if not bound:
             continue
-        std.append(e)
-        if len(std) > MAX_QUOTIENT_LENGTH:
+        if len(std) + bound > MAX_QUOTIENT_LENGTH:
             raise PreconditionError(
                 f"quotient is too long: more than {MAX_QUOTIENT_LENGTH} standard monomials"
             )
-        for k in range(first, n):
+        std.extend(e + (k,) for k in range(bound))
+        for k in range(first, n - 1):
             stack.append((e[:k] + (e[k] + 1,) + e[k + 1 :], k))
     std.sort(key=ring.order.key)
     return QuotientRing(ring, J, tuple(std))
@@ -439,6 +449,20 @@ def socle_with_dimension(A: QuotientRing) -> tuple:
         basis.append(Polynomial(ring, tuple(sorted(item.items(), reverse=True))))
     basis.sort(key=lambda g: g.leading_key, reverse=True)
     return _known_basis(ring, basis), len(kernel)
+
+
+def _socle_series(S: Ideal, top: int):
+    """[S, S : m, ..., S : m^top] for S containing an Artinian ideal, with no colon.
+
+    S : m^i = (S : m^(i-1)) : m is the socle of R/(S : m^(i-1)), so each rung
+    is socle(make_quotient(rung below)). Every rung contains S, so each
+    quotient is Artinian, and each socle publishes its reduced basis, so the
+    next quotient runs no Buchberger.
+    """
+    rungs = [S]
+    for _ in range(top):
+        rungs.append(socle(make_quotient(rungs[-1])))
+    return rungs
 
 
 def is_gorenstein(A: QuotientRing) -> bool:
