@@ -30,9 +30,8 @@ from .ideal_ops import (
     ideal_product,
     ideal_sum,
     irrelevant_power,
-    is_gorenstein,
     make_quotient,
-    socle,
+    socle_quotient,
     unit_ideal,
     zero_ideal,
 )

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the invoked verifier's expected verdict holds (or a primitive
 succeeds), 1 on a verified-failure verdict, 2 on usage or precondition errors,
-3 on any other exception (an internal error, never a verdict's code).
+3 on any other exception (an internal error, never a verdict's code) and when
+the output cannot be written.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -24,7 +26,7 @@ from .ideal_ops import (
     ideal_intersect,
     irrelevant_power,
     make_quotient,
-    socle_with_dimension,
+    socle_quotient,
 )
 from .poly import Ring, order_from_name
 from .theorems import (
@@ -192,9 +194,10 @@ def _run_ring_command(args, resolved):
         }, 0
     if command == "socle":
         A = make_quotient(I)
-        S, dimension = socle_with_dimension(A)
+        B = socle_quotient(A)
+        dimension = A.length - B.length
         return {
-            "socle_basis": _basis_strings(S),
+            "socle_basis": _basis_strings(B.defining),
             "socle_dimension": dimension,
             "gorenstein": dimension == 1,
         }, 0
@@ -331,15 +334,20 @@ def main(argv=None) -> int:
             resolved = _resolve_ring(args)
             ring = resolved[0]
             result, code = _run_ring_command(args, resolved)
+        _emit(args, result, ring, (time.perf_counter() - started) * 1000.0)
+        sys.stdout.flush()
     except (ParseError, UsageError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # writing the output; an unreadable --in file is a UsageError
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        # What stdout still holds would fail again at the flush on shutdown.
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        return 3
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    _emit(args, result, ring, elapsed_ms)
     return code
 
 

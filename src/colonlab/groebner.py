@@ -260,9 +260,6 @@ class Ideal:
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0] == self.ring.one
 
-    def contains(self, f: Polynomial) -> bool:
-        return ideal_membership(f, self)
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({gens})"

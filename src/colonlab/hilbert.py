@@ -10,8 +10,8 @@ The ideals J + I^k, k = 0..delta+1, are built once from that chain
 (_power_ideals). The filtration table reads their lengths (_filtration_table),
 and verify_main_equivalence compares its colon ladder with the same Ideal
 objects, so each of them computes its Groebner basis once. J + (1) is the
-known unit ideal, and J + I shares the basis that the chain walk computes for
-its unit check (_power_chain returns the chain together with that ideal).
+known unit ideal, and J + I shares the basis that the chain walk, which
+_power_ideals runs itself, computes for its unit check.
 """
 
 from __future__ import annotations
@@ -107,13 +107,14 @@ def nilpotency_index(A: QuotientRing, I: Ideal) -> int:
     return len(image_power_chain(A, I))
 
 
-def _power_ideals(A: QuotientRing, chain, total: Ideal):
-    """[J + I^k for k = 0..delta+1] from _power_chain's pair: (1) first, J last.
+def _power_ideals(A: QuotientRing, I: Ideal):
+    """[J + I^k for k = 0..delta+1] from one walk of I's power chain: (1) first, J last.
 
     J + I keeps the generators J + chain[0] (the colon ladder steps by them)
-    and takes its reduced basis from total, the same ideal, whose basis the
-    chain walk has already computed.
+    and takes its reduced basis from the same ideal that the chain walk
+    returns with its basis computed.
     """
+    chain, total = _power_chain(A, I)
     J, ring = A.defining, A.ring
     sums = [ideal_sum(J, Ideal(ring, tuple(gens))) for gens in chain]
     if sums:
@@ -134,7 +135,7 @@ def _filtration_table(A: QuotientRing, powers) -> HilbertTable:
 
 def filtration_hilbert(A: QuotientRing, I: Ideal) -> HilbertTable:
     """The table H(I, i) = ell(I^i / I^(i+1)) for i = 0..delta."""
-    return _filtration_table(A, _power_ideals(A, *_power_chain(A, I)))
+    return _filtration_table(A, _power_ideals(A, I))
 
 
 def is_symmetric(table: HilbertTable) -> bool:

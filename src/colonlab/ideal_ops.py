@@ -29,14 +29,17 @@ Under lex the contraction is a degrevlex basis, so a lex intersection is left
 to Buchberger.
 
 The socle J : m of an Artinian quotient A = R/J is not taken as a colon.
-socle_with_dimension reads it off A's staircase: S/J is the kernel of
-multiplication by the variables on A's standard monomials, its dimension is
-the socle dimension, and its reduced echelon form gives S's reduced basis,
-which is published (the Buchberger-Moeller reading of a basis off an echelon
-form: Marinari, Moeller and Mora, AAECC 4, 1993). Nor is a colon by a power
-of m: S : m^(i+1) = (S : m^i) : m is the socle of R/(S : m^i), so
-_socle_series walks those rungs as socles of quotients, and the Gorenstein
-ladders of theorems take it. colon and colon_powers stay on the paths above.
+socle_quotient reads R/(J : m) off A's staircase: S/J is the kernel of
+multiplication by the variables on A's standard monomials, and its reduced
+echelon form gives S's reduced basis, which is published (the
+Buchberger-Moeller reading of a basis off an echelon form: Marinari, Moeller
+and Mora, AAECC 4, 1993). The kernel's pivots are the monomials that leave the
+staircase, so R/S's standard monomials are A's minus those pivots, and the
+socle dimension is the difference of the two lengths. Nor is a colon by a
+power of m: S : m^(i+1) = (S : m^i) : m is the socle of R/(S : m^i), so
+_socle_series walks those rungs as socle quotients, each handing its staircase
+on, and the Gorenstein ladders of theorems take it. colon and colon_powers
+stay on the paths above.
 """
 
 from __future__ import annotations
@@ -345,11 +348,6 @@ def make_quotient(J: Ideal) -> QuotientRing:
     return QuotientRing(ring, J, tuple(std))
 
 
-def socle(A: QuotientRing) -> Ideal:
-    """The socle of A as an ambient ideal: (J : m)."""
-    return socle_with_dimension(A)[0]
-
-
 def _add_multiple(v: dict, c, w: dict, p) -> None:
     """v += c * w in place for sparse {column: entry} vectors, dropping zeros."""
     for k, x in w.items():
@@ -418,21 +416,25 @@ def _socle_kernel(A: QuotientRing) -> dict:
     return kernel
 
 
-def socle_with_dimension(A: QuotientRing) -> tuple:
-    """(S, dim) for the socle S = J : m of A = R/J and dim = dim_k S/J, from A alone.
+def socle_quotient(A: QuotientRing) -> QuotientRing:
+    """R/S for the socle S = J : m of A = R/J, from A alone.
 
     S/J is the kernel W of a -> (NF_J(x_i a))_i on A's standard monomials
-    (_socle_kernel), so dim = dim W and S = J + (lifts of W). In W's reduced
-    row echelon form over the standard monomials taken descending,
-    in(S) = in(J) ∪ pivots(W): the monomials outside both number
-    length(A) - dim W = length(R/S). So each minimal generator t of in(S)
-    names one element of S's reduced basis: W's row with pivot t, or else J's
-    basis element with lead t, its tail reduced by W's rows. That basis is
-    published; no colon and no second quotient is computed.
+    (_socle_kernel), so S = J + (lifts of W). In W's reduced row echelon form
+    over the standard monomials taken descending, in(S) = in(J) ∪ pivots(W):
+    the monomials outside both number length(A) - dim W = length(R/S). So R/S's
+    standard monomials are A's without W's pivots, still ascending, and each
+    minimal generator t of in(S) names one element of S's reduced basis: W's
+    row with pivot t, or else J's basis element with lead t, its tail reduced
+    by W's rows. That basis is published; no colon and no make_quotient runs.
+
+    The socle dimension dim_k S/J is A.length - socle_quotient(A).length, and A
+    is Gorenstein exactly when it is 1. The zero ring's socle is (1), of
+    dimension 0.
     """
     ring = A.ring
     p = ring.field.p
-    exps = ring.order.exps
+    key, exps = ring.order.key, ring.order.exps
     kernel = _socle_kernel(A)
     leads = [(g.leading_exps, g) for g in A.defining.groebner_basis()]
     leads += [(exps(k), row) for k, row in kernel.items()]
@@ -448,26 +450,18 @@ def socle_with_dimension(A: QuotientRing) -> tuple:
             item = row
         basis.append(Polynomial(ring, tuple(sorted(item.items(), reverse=True))))
     basis.sort(key=lambda g: g.leading_key, reverse=True)
-    return _known_basis(ring, basis), len(kernel)
+    standard = tuple(e for e in A.standard_monomials if key(e) not in kernel)
+    return QuotientRing(ring, _known_basis(ring, basis), standard)
 
 
-def _socle_series(S: Ideal, top: int):
-    """[S, S : m, ..., S : m^top] for S containing an Artinian ideal, with no colon.
+def _socle_series(B: QuotientRing, top: int):
+    """[R/S, R/(S : m), ..., R/(S : m^top)] for B = R/S Artinian, with no colon.
 
     S : m^i = (S : m^(i-1)) : m is the socle of R/(S : m^(i-1)), so each rung
-    is socle(make_quotient(rung below)). Every rung contains S, so each
-    quotient is Artinian, and each socle publishes its reduced basis, so the
-    next quotient runs no Buchberger.
+    is socle_quotient of the rung below: it publishes its reduced basis and
+    hands its staircase on, so no rung runs Buchberger or make_quotient.
     """
-    rungs = [S]
+    rungs = [B]
     for _ in range(top):
-        rungs.append(socle(make_quotient(rungs[-1])))
+        rungs.append(socle_quotient(rungs[-1]))
     return rungs
-
-
-def is_gorenstein(A: QuotientRing) -> bool:
-    """Artinian Gorenstein iff the socle is one-dimensional over the field.
-
-    The zero ring's socle is (1), so its socle dimension is 0 and it is not Gorenstein.
-    """
-    return socle_with_dimension(A)[1] == 1

@@ -195,10 +195,6 @@ class VectorSpaceModel:
         one = self.field.one
         return Subspace({r: {r: one} for r in range(self.dim)}, self.dim, self.field.zero)
 
-    def zero_space(self) -> Subspace:
-        """The zero subspace; tests use it as the reference input 0 whose annihilator is A."""
-        return Subspace({}, self.dim, self.field.zero)
-
     def apply(self, var: int, vec) -> list:
         """Multiply the element with these coordinates by the given variable."""
         return _dense(_times(self.cols[var], _sparse(vec), self.field.p), self.dim, self.field.zero)

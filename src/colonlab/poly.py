@@ -101,21 +101,12 @@ def compare(order, a, b) -> int:
     return 0
 
 
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(a, b) -> bool:
     """True iff x^a divides x^b."""
     for x, y in zip(a, b):
         if x > y:
             return False
     return True
-
-
-def mono_quotient(a, b):
-    """Exponents of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def mono_lcm(a, b):

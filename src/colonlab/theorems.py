@@ -9,11 +9,13 @@ All three ladders walk their left-hand sides one rung at a time: lhs_0 is the
 base ideal and lhs_i = lhs_(i-1) : step, which equals the direct colon by the
 i-th power because (I : A) : B = I : AB. The complete-intersection ladder and
 the corollary step by m; the Gorenstein-quotient ladder steps by J + I, since
-J : (J + I^i) = J : I^i. The corollary takes rung 1 from the socle J : m that
-its Gorenstein check computes, and so does the Gorenstein-quotient ladder when
-J + I = m (their reduced bases are equal). Above rung 1 those two ladders walk
-the socle series (ideal_ops._socle_series): a step by m is the socle of the
-quotient by the rung below, so they take no colon. The complete-intersection
+J : (J + I^i) = J : I^i. The Gorenstein check computes the socle quotient
+R/(J : m) (ideal_ops.socle_quotient) and reads the socle dimension off the
+two lengths. The corollary takes rung 1 from that quotient, and so does the
+Gorenstein-quotient ladder when J + I = m (their reduced bases are equal).
+Above rung 1 those two ladders walk the socle series (ideal_ops._socle_series):
+a step by m is the socle quotient of the rung below, which hands its staircase
+on, so they take no colon and build no quotient. The complete-intersection
 ladder and the Gorenstein-quotient ladder with J + I != m still walk
 colon_powers: switching them measured faster, but the benchmark reads its
 peak-memory metric after per-instance statistics, which grow with throughput,
@@ -45,14 +47,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError, UsageError
 from .fields import PrimeField
 from .groebner import Ideal, _known_basis, ideal_equal
-from .hilbert import (
-    HilbertTable,
-    _filtration_table,
-    _power_chain,
-    _power_ideals,
-    graded_hilbert,
-    is_symmetric,
-)
+from .hilbert import HilbertTable, _filtration_table, _power_ideals, graded_hilbert, is_symmetric
 from .ideal_ops import (
     QuotientRing,
     _socle_series,
@@ -60,7 +55,7 @@ from .ideal_ops import (
     irrelevant_power,
     make_quotient,
     monomials_of_degree,
-    socle_with_dimension,
+    socle_quotient,
 )
 from .poly import Ring, mono_divides
 
@@ -117,16 +112,16 @@ def _complete_intersection(gens: tuple):
     return make_quotient(Ideal(ring, tuple(gens))), sum(degrees) - ring.nvars
 
 
-def _gorenstein_socle(A: QuotientRing) -> Ideal:
-    """The socle J : m of A, which must be Gorenstein (socle dimension 1)."""
-    S, dimension = socle_with_dimension(A)
-    if dimension != 1:
+def _gorenstein_socle(A: QuotientRing) -> QuotientRing:
+    """R/(J : m) for A = R/J, which must be Gorenstein (socle dimension 1)."""
+    B = socle_quotient(A)
+    if A.length - B.length != 1:
         raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
-    return S
+    return B
 
 
 def _graded_gorenstein(J: Ideal):
-    """(quotient, graded table, socle J : m) of R/J, which must be graded Artinian Gorenstein."""
+    """(R/J, graded table, R/(J : m)) of R/J, which must be graded Artinian Gorenstein."""
     A = make_quotient(J)
     table = graded_hilbert(A)  # also enforces homogeneity
     return A, table, _gorenstein_socle(A)
@@ -194,16 +189,17 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
     defining ideal, proper in A. Both sides of the equivalence are computed
     and the report's `consistent` flag records whether they agree.
     """
-    S = _gorenstein_socle(A)
+    if I.ring != A.ring:
+        raise UsageError("ideal and quotient live in different rings")
+    B = _gorenstein_socle(A)
     try:
-        chain, total = _power_chain(A, I)
-    except UsageError as exc:
+        powers = _power_ideals(A, I)  # powers[k] = J + I^k
+    except UsageError as exc:  # I is the unit ideal in A
         raise PreconditionError(str(exc)) from None
-    delta = len(chain)
-    powers = _power_ideals(A, chain, total)  # powers[k] = J + I^k
+    delta = len(powers) - 2
     J, step = A.defining, powers[1]
     if delta and ideal_equal(step, irrelevant_power(A.ring, 1)):
-        lhs = [J] + _socle_series(S, delta - 1)  # J : m^i, rung 1 the socle
+        lhs = [J] + [Q.defining for Q in _socle_series(B, delta - 1)]  # J : m^i
     else:
         lhs = colon_powers(J, step, delta)
     rungs = _ladder_rungs(lhs, lambda i: powers[delta + 1 - i])
@@ -218,13 +214,14 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
 def verify_corollary(J: Ideal) -> LadderReport:
     """Check 0 : m^i = m^(delta+1-i) for i = 0..delta in a graded Gorenstein quotient.
 
-    Rung 1 is the socle J : m that the Gorenstein check has already computed,
-    and each rung above it is the socle of the quotient by the rung below.
-    delta is the top degree of the graded table (see the module docstring).
+    Rung 1 is the socle J : m of the socle quotient that the Gorenstein check
+    has already computed, and each rung above it is the socle quotient of the
+    rung below. delta is the top degree of the graded table (see the module
+    docstring).
     """
-    A, table, S = _graded_gorenstein(J)
+    A, table, B = _graded_gorenstein(J)
     delta = table.delta
-    lhs = [J] + (_socle_series(S, delta - 1) if delta else [])
+    lhs = [J] + ([Q.defining for Q in _socle_series(B, delta - 1)] if delta else [])
     rungs = _ladder_rungs(lhs, lambda i: _plus_irrelevant_power(J, delta + 1 - i))
     return LadderReport(delta, rungs, all(r.equal for r in rungs))
 

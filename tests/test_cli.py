@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from colonlab import Ideal, InternalError, QQ, Ring, ideal_equal
+from colonlab import (
+    Ideal,
+    InternalError,
+    QQ,
+    Ring,
+    ideal_equal,
+    irrelevant_power,
+    make_quotient,
+    verify_main_equivalence,
+)
 from colonlab import cli
 from colonlab.cli import main
 
@@ -339,6 +352,66 @@ def test_keyboard_interrupt_is_not_an_internal_error(monkeypatch):
     monkeypatch.setattr(cli, "make_quotient", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["hilbert", "--vars", "x", "--gens", "x^2"])
+
+
+class FailingWriter:
+    """A stdout whose every write raises the given error."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "error",
+    [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left")],
+    ids=["EPIPE", "ENOSPC"],
+)
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [(("gb", "--vars", "x,y", "--gens", "x^2,y^2"), 0), (("storch",), 1), (("storch", "--json"), 1)],
+    ids=["verdict-0", "verdict-1", "verdict-1-json"],
+)
+def test_failed_write_of_the_output_exits_3(monkeypatch, argv, verdict, error):
+    # The fixture check fails on another quotient, so storch's verdict is 1.
+    ring = Ring(("x", "y"), QQ)
+    square = make_quotient(Ideal(ring, (ring.parse("x^2"), ring.parse("y^2"))))
+    monkeypatch.setattr(
+        cli, "storch_counterexample", lambda: verify_main_equivalence(square, irrelevant_power(ring, 1))
+    )
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(list(argv)) == verdict
+    writer, stderr = FailingWriter(error), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", writer)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(list(argv)) == 3
+    assert stderr.getvalue() == f"error: cannot write the output: {error}\n"
+    # stdout now points at os.devnull, so the flush at shutdown cannot fail again.
+    assert sys.stdout is not writer and sys.stdout.name == os.devnull
+    sys.stdout.close()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
+def test_writing_to_a_full_device_exits_3():
+    source = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    with open("/dev/full", "w") as full:
+        process = subprocess.run(
+            [sys.executable, "-m", "colonlab.cli", "gb", "--vars", "x,y", "--gens", "x^2,y^2"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert process.returncode == 3
+    assert process.stderr.startswith("error: cannot write the output: [Errno 28]")
+    assert process.stderr.count("\n") == 1  # no second traceback at shutdown
 
 
 def test_huge_quotient_exits_2(capsys):

@@ -19,7 +19,7 @@ from colonlab import (
     reduce_gb,
     s_polynomial,
 )
-from colonlab.poly import mono_divides, mono_quotient
+from colonlab.poly import mono_divides
 
 from conftest import F2, F32003, STORCH_GENS, random_nonzero_poly, random_poly
 
@@ -50,7 +50,7 @@ def reference_division(f, G):
             lead = g.leading_exps
             if mono_divides(lead, e):
                 q = field.div(c, g.leading_coeff)
-                shift = mono_quotient(e, lead)
+                shift = tuple(a - b for a, b in zip(e, lead))
                 quotients[gi][shift] = field.add(quotients[gi].get(shift, field.zero), q)
                 for ge, gc in g.iter_terms():
                     key = tuple(a + b for a, b in zip(ge, shift))
@@ -298,7 +298,7 @@ def test_ideal_reduce_matches_normal_form_on_corpus(corpus):
         for _ in range(5):
             f = random_poly(rng, ideal.ring, max_exp=4, max_terms=6)
             assert ideal.reduce(f) == normal_form(f, gb), name
-            assert ideal.contains(f) == normal_form(f, gb).is_zero, name
+            assert ideal_membership(f, ideal) == normal_form(f, gb).is_zero, name
 
 
 def test_ideal_reduce_rejects_foreign_polynomial():

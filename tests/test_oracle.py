@@ -87,7 +87,8 @@ def test_subspace_of_maximal_ideal(square_model):
 
 
 def test_annihilator_of_zero_is_full(square_model):
-    assert annihilator(square_model, square_model.zero_space()).dim == square_model.dim
+    zero = Subspace({}, square_model.dim, square_model.field.zero)
+    assert annihilator(square_model, zero).dim == square_model.dim
 
 
 def test_annihilator_of_full_space_is_zero(square_model):

@@ -41,7 +41,14 @@ from colonlab import (
     subspace_of_ideal,
 )
 from colonlab.groebner import _known_basis
-from colonlab.oracle import _dense, _generator_operators, _sparse, _times, subspace_from_vectors
+from colonlab.oracle import (
+    Subspace,
+    _dense,
+    _generator_operators,
+    _sparse,
+    _times,
+    subspace_from_vectors,
+)
 
 from conftest import CORPUS, F2, F32003, corpus_ideals, make_ideal
 from test_colon_laws import cases
@@ -205,7 +212,7 @@ def test_unstable_subspaces_are_rejected_and_zero_is_an_ideal():
             with pytest.raises(UsageError, match=f"^oracle_power {UNSTABLE}$"):
                 oracle_power(M, V, k)
         assert V not in M.chains
-        zero = M.zero_space()
+        zero = Subspace({}, M.dim, M.field.zero)
         assert annihilator(M, zero) == M.full_space()
         assert all(oracle_power(M, zero, k) == zero for k in (1, 2, 5))
 

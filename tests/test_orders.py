@@ -13,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colonlab import UsageError, compare
-from colonlab.poly import DegRevLex, Elim, Lex, mono_mul
+from colonlab.poly import DegRevLex, Elim, Lex
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def test_degrevlex_equal_degree_tiebreak():

@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 import colonlab.hilbert
-import colonlab.theorems
 from colonlab import (
     build_model,
     filtration_hilbert,
@@ -62,10 +61,11 @@ def test_corollary_delta_is_the_nilpotency_index_of_m(entry):
 
 @pytest.fixture
 def chain_calls(monkeypatch):
-    """Counts power-chain walks, made through hilbert or theorems.
+    """Counts power-chain walks.
 
-    Every walk runs hilbert._power_chain; image_power_chain calls it through
-    the module attribute, so public calls are counted too.
+    Every walk runs hilbert._power_chain, and image_power_chain and
+    _power_ideals call it through the module attribute, so the verifiers'
+    walks and public calls are counted too.
     """
     calls = []
     original = colonlab.hilbert._power_chain
@@ -75,7 +75,6 @@ def chain_calls(monkeypatch):
         return original(A, I)
 
     monkeypatch.setattr(colonlab.hilbert, "_power_chain", counted)
-    monkeypatch.setattr(colonlab.theorems, "_power_chain", counted)
     return calls
 
 

@@ -1,7 +1,8 @@
 """The socle J : m read off the quotient's staircase, against elimination.
 
-socle_with_dimension computes the socle of A = R/J by linear algebra on A's
-standard monomials and publishes the socle's reduced basis. The reference is
+socle_quotient computes R/S for the socle S of A = R/J by linear algebra on
+A's standard monomials: it publishes S's reduced basis and hands on R/S's
+staircase, A's without the kernel's pivots. The reference is
 spelled out here: J : m as the intersection of the variable colons J : x_j,
 each J ∩ (x_j) taken by elimination in k[t, x] and divided by x_j, the
 intersections by elimination too, and dim = length(A) - length(R/S) from
@@ -29,12 +30,12 @@ from colonlab import (
     buchberger,
     make_quotient,
     reduce_gb,
-    socle,
+    socle_quotient,
     storch_ideal,
 )
 from colonlab import ideal_ops
-from colonlab.ideal_ops import monomials_of_degree, socle_with_dimension
-from colonlab.poly import mono_divides, mono_quotient
+from colonlab.ideal_ops import monomials_of_degree
+from colonlab.poly import mono_divides
 
 from conftest import CORPUS, F2, F32003, make_ideal
 
@@ -52,7 +53,7 @@ def exact_quotient(g, f):
     q = g.ring.zero
     while not g.is_zero:
         t = g.ring.monomial(
-            mono_quotient(g.leading_exps, f.leading_exps),
+            tuple(a - b for a, b in zip(g.leading_exps, f.leading_exps)),
             field.div(g.leading_coeff, f.leading_coeff),
         )
         q, g = q + t, g - t * f
@@ -102,12 +103,13 @@ def staircase_length(basis):
 
 def check_socle(J):
     A = make_quotient(J)
-    S, dimension = socle_with_dimension(A)
+    B = socle_quotient(A)
+    S, dimension = B.defining, A.length - B.length
     expected = elimination_socle(J)
     assert S.groebner_basis() == expected, J
     assert dimension == staircase_length(J.groebner_basis()) - staircase_length(expected), J
     assert reference(S.groebner_basis()) == S.groebner_basis(), J
-    assert socle(A).groebner_basis() == expected
+    assert B.standard_monomials == make_quotient(S).standard_monomials, J
     return dimension
 
 
@@ -164,11 +166,14 @@ def test_random_artinian_socles_match_elimination(field, order, homogeneous):
 
 def test_named_socles():
     ring = Ring(("x", "y"), F2)
-    S, dimension = socle_with_dimension(make_quotient(Ideal(ring, (ring.one,))))
-    assert S.groebner_basis() == (ring.one,) and dimension == 0  # the zero ring
-    fat = make_ideal(QQ, ("x", "y"), ("x^2", "x*y", "y^2"))
-    S, dimension = socle_with_dimension(make_quotient(fat))
-    assert [str(g) for g in S.groebner_basis()] == ["x", "y"] and dimension == 2
+    A = make_quotient(Ideal(ring, (ring.one,)))
+    B = socle_quotient(A)
+    assert B.defining.groebner_basis() == (ring.one,)  # the zero ring
+    assert A.length - B.length == 0 and B.standard_monomials == ()
+    A = make_quotient(make_ideal(QQ, ("x", "y"), ("x^2", "x*y", "y^2")))
+    B = socle_quotient(A)
+    assert [str(g) for g in B.defining.groebner_basis()] == ["x", "y"]
+    assert A.length - B.length == 2 and B.standard_monomials == ((0, 0),)
     assert check_socle(storch_ideal()) == 1
 
 
@@ -180,9 +185,9 @@ def test_socle_is_published_without_colon_or_quotient(monkeypatch):
 
     monkeypatch.setattr(ideal_ops, "colon", refuse)
     monkeypatch.setattr(ideal_ops, "make_quotient", refuse)
-    S, dimension = socle_with_dimension(A)
-    assert S._gb is not None  # published through _known_basis
-    assert dimension >= 1
+    B = socle_quotient(A)
+    assert B.defining._gb is not None  # published through _known_basis
+    assert A.length - B.length >= 1
 
 
 @pytest.mark.parametrize(
@@ -199,7 +204,7 @@ def test_socles_match_sympy_quotient_over_q(gens):
     quotient = R.ideal(*(sympy.sympify(g.replace("^", "**")) for g in gens)).quotient(R.ideal(x, y))
     exprs = [R.to_sympy(g) for g in quotient.gens]
     expected = sympy.groebner(exprs, *symbols, order="grevlex", domain=sympy.QQ)
-    got = socle_with_dimension(make_quotient(J))[0].groebner_basis()
+    got = socle_quotient(make_quotient(J)).defining.groebner_basis()
     as_pairs = {
         frozenset((e, Fraction(int(c.numerator), int(c.denominator))) for e, c in g.terms())
         for g in expected.polys

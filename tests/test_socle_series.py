@@ -1,14 +1,16 @@
 """The socle series S : m^i, each rung the socle of R/(rung below), against colon_powers.
 
-ideal_ops._socle_series walks S, S : m, ..., S : m^top by taking the socle of
-each rung's quotient, with no colon. The reference is colon_powers(S, m, top),
-the elimination ladder, and rung 1 of J's series is checked against the
-elimination socle of tests/test_socle_kernel.py. The inputs are CORPUS in
+ideal_ops._socle_series walks R/S, R/(S : m), ..., R/(S : m^top), each rung
+the socle quotient of the rung below, with no colon and no make_quotient. The
+reference is colon_powers(S, m, top), the elimination ladder, and rung 1 of
+J's series is checked against the elimination socle of
+tests/test_socle_kernel.py. Each rung's handed-on staircase equals
+make_quotient of the rung's published basis. The inputs are CORPUS in
 degrevlex and lex, random Artinian ideals over F2, F32003 and Q (homogeneous
 and not), Storch's fixture, its char-2 variant and the fat point x^2, xy, y^2.
 The Gorenstein ladders of verify_corollary and verify_main_equivalence(A, m)
 walk this series: their reports equal those of the colon_powers ladder, and
-they take no colon and no intersection.
+they take no colon, no intersection and no quotient beyond R/J.
 """
 
 from __future__ import annotations
@@ -40,14 +42,22 @@ ORDERS = [DegRevLex(), Lex()]
 
 
 def check_series(J, top):
-    """J's socle series against colon_powers rung by rung; rung 1 against elimination."""
-    series = _socle_series(J, top)
+    """J's socle series against colon_powers rung by rung; rung 1 against elimination.
+
+    Each rung's staircase, handed on from the rung below, equals make_quotient
+    of the rung's published basis.
+    """
+    series = _socle_series(make_quotient(J), top)
     ladder = colon_powers(J, irrelevant_power(J.ring, 1), top)
     assert len(series) == len(ladder) == top + 1
-    assert [S.groebner_basis() for S in series] == [K.groebner_basis() for K in ladder], J
-    assert all(S._gb is not None for S in series)  # every rung publishes its basis
+    rungs = [B.defining for B in series]
+    assert [S.groebner_basis() for S in rungs] == [K.groebner_basis() for K in ladder], J
+    assert all(S._gb is not None for S in rungs)  # every rung publishes its basis
+    assert [B.standard_monomials for B in series] == [
+        make_quotient(S).standard_monomials for S in rungs
+    ], J
     if top:
-        assert series[1].groebner_basis() == elimination_socle(J), J
+        assert rungs[1].groebner_basis() == elimination_socle(J), J
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name)
@@ -79,8 +89,8 @@ def test_named_series():
     check_series(storch_ideal(), 4)
     check_series(make_ideal(F2, ("x", "y"), CHAR2_VARIANT_GENS), 5)
     check_series(make_ideal(QQ, ("x", "y"), ("x^2", "x*y", "y^2")), 3)
-    J = make_ideal(QQ, ("x", "y"), ("x^2", "y^2"))
-    assert _socle_series(J, 0) == [J]
+    A = make_quotient(make_ideal(QQ, ("x", "y"), ("x^2", "y^2")))
+    assert _socle_series(A, 0) == [A]
 
 
 def colon_ladder(monkeypatch):
@@ -88,7 +98,9 @@ def colon_ladder(monkeypatch):
     monkeypatch.setattr(
         theorems,
         "_socle_series",
-        lambda S, top: colon_powers(S, irrelevant_power(S.ring, 1), top),
+        lambda B, top: [
+            make_quotient(K) for K in colon_powers(B.defining, irrelevant_power(B.ring, 1), top)
+        ],
     )
 
 
@@ -137,16 +149,36 @@ def test_equivalence_reports_match_the_colon_ladder(field, gens, monkeypatch):
 
 
 def test_gorenstein_ladders_take_no_colon_and_no_intersection(monkeypatch):
+    """Nor do they build a quotient beyond R/J: each rung hands its staircase on.
+
+    The spy counts make_quotient as ideal_ops and theorems call it. The lengths
+    of the equivalence's filtration table are quotients by J + I^k, not rungs,
+    and hilbert takes them.
+    """
     def refuse(*args):
         raise AssertionError("a Gorenstein ladder took a colon or an intersection")
 
+    quotients = []
+    original = ideal_ops.make_quotient
+
+    def counted(J):
+        quotients.append(J)
+        return original(J)
+
     monkeypatch.setattr(ideal_ops, "colon", refuse)
     monkeypatch.setattr(ideal_ops, "ideal_intersect", refuse)
+    monkeypatch.setattr(ideal_ops, "make_quotient", counted)
+    monkeypatch.setattr(theorems, "make_quotient", counted)
     report = verify_corollary(make_ideal(QQ, ("x", "y", "z"), ("x^2", "y^2", "z^3")))
     assert report.holds and report.delta == 4
+    assert len(quotients) <= 1
     A = make_quotient(storch_ideal())
+    quotients.clear()
     report = verify_main_equivalence(A, irrelevant_power(A.ring, 1))
     assert report.consistent and not report.ladder_holds
+    assert len(quotients) <= 1
     A = make_quotient(make_ideal(QQ, ("x", "y"), ("x^3", "y^2")))
+    quotients.clear()
     report = verify_main_equivalence(A, irrelevant_power(A.ring, 1))
     assert report.ladder_holds and report.delta == 3
+    assert len(quotients) <= 1

@@ -17,11 +17,13 @@ from colonlab import (
     check_delta_identity,
     colon,
     colon_powers,
+    filtration_hilbert,
     ideal_equal,
     ideal_sum,
     irrelevant_power,
     make_quotient,
     nilpotency_index,
+    oracle_filtration_hilbert,
     oracle_power,
     order_from_name,
     random_complete_intersection,
@@ -129,6 +131,18 @@ def test_equivalence_rejects_unit_inner_ideal(r2):
     A = make_quotient(Ideal(r2, (r2.parse("x^2"), r2.parse("y^2"))))
     with pytest.raises(PreconditionError):
         verify_main_equivalence(A, unit_ideal(r2))
+
+
+def test_equivalence_rejects_inner_ideal_of_another_ring(r2):
+    # A mixed-ring call is a UsageError, as for filtration_hilbert and the oracle.
+    A = make_quotient(Ideal(r2, (r2.parse("x^2"), r2.parse("y^2"))))
+    other = Ring(("x", "y"), F32003)
+    with pytest.raises(UsageError):
+        verify_main_equivalence(A, irrelevant_power(other, 1))
+    with pytest.raises(UsageError):
+        filtration_hilbert(A, irrelevant_power(other, 1))
+    with pytest.raises(UsageError):
+        oracle_filtration_hilbert(build_model(A), irrelevant_power(other, 1))
 
 
 def test_equivalence_with_square_of_maximal(r2):
