@@ -41,6 +41,8 @@ from .theorems import (
 
 # random-ci refuses a larger --count before it runs any instance.
 MAX_RANDOM_CI_COUNT = 1_000
+# The keys of an --in file, one per flag of a ring command.
+INPUT_KEYS = ("field", "vars", "order", "gens", "ideal2", "poly")
 
 
 @functools.cache  # built once per process; parse_args leaves the parser unchanged
@@ -106,7 +108,13 @@ def _read_input_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in INPUT_KEYS:
+            expected = ", ".join(INPUT_KEYS)
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}; expected {expected}")
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: key {key!r} given twice")
+        values[key] = value.strip()
     return values
 
 

@@ -12,10 +12,14 @@ reducer entries (_s_pair): g_i's terms are shifted once and g_j's shifted tail
 is merged in. s_polynomial is the public reference for the same polynomial.
 
 An ideal operation that already holds its result's reduced basis publishes it
-with _known_basis instead of leaving it to Buchberger. It may do so only for a
-basis that is reduced in the ring's own order, or for a Groebner basis in
-that order after reduce_gb alone. An elimination contraction is a degrevlex
-basis, so a lex intersection must not publish it.
+with _known_basis instead of leaving it to Buchberger. The publication rule: a
+published basis is one of
+- a closed form: unit_ideal, irrelevant_power, or the ladders' I + m^k;
+- the degrevlex elimination contraction (a lex intersection must not publish
+  it: it is a degrevlex basis);
+- the shared basis of the equivalence's power ideal J + I;
+- reduce_gb of a Groebner basis in the ring's own order: the unpermuted
+  variable colon, the exact-division colon and the socle quotient.
 """
 
 from __future__ import annotations
@@ -269,9 +273,12 @@ def _known_basis(ring: Ring, basis, generators=None) -> Ideal:
     """An Ideal whose reduced Groebner basis is already known to be basis.
 
     basis must be the reduced monic basis in ring's own order, sorted
-    descending, exactly as reduce_gb returns it; generators default to it. A
-    Groebner basis in another order (the lex ring's elimination contractions,
-    which are degrevlex) must never be published this way.
+    descending, exactly as reduce_gb returns it; generators default to it.
+    The publication rule in the module docstring says which bases qualify: a
+    closed form, the degrevlex elimination contraction, J + I's shared basis,
+    or reduce_gb of a Groebner basis in ring's own order. A Groebner basis in
+    another order (the lex ring's elimination contractions, which are
+    degrevlex) must never be published this way.
     """
     ideal = Ideal(ring, basis if generators is None else generators)
     ideal._gb = tuple(basis)

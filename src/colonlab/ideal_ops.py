@@ -20,26 +20,21 @@ One helper, _carry, moves a polynomial between related rings by an exponent
 map and re-sorts its terms; the coefficients are already canonical and are
 not re-checked.
 
-Results whose reduced basis is already at hand publish it (groebner's
-_known_basis): unit_ideal and irrelevant_power (its monomials, descending),
-ideal_intersect under degrevlex (the contraction of the reduced Elim basis),
-and, after reduce_gb alone, the unpermuted variable colon and the
-exact-division colon (in any order: it divides the meet's reduced basis).
-Under lex the contraction is a degrevlex basis, so a lex intersection is left
-to Buchberger.
+Results whose reduced basis is already at hand publish it through
+groebner's _known_basis, under the publication rule in groebner's docstring;
+a lex intersection is left to Buchberger.
 
 The socle J : m of an Artinian quotient A = R/J is not taken as a colon.
 socle_quotient reads R/(J : m) off A's staircase: S/J is the kernel of
-multiplication by the variables on A's standard monomials, and its reduced
-echelon form gives S's reduced basis, which is published (the
-Buchberger-Moeller reading of a basis off an echelon form: Marinari, Moeller
-and Mora, AAECC 4, 1993). The kernel's pivots are the monomials that leave the
-staircase, so R/S's standard monomials are A's minus those pivots, and the
-socle dimension is the difference of the two lengths. Nor is a colon by a
-power of m: S : m^(i+1) = (S : m^i) : m is the socle of R/(S : m^i), so
-_socle_series walks those rungs as socle quotients, each handing its staircase
-on, and the Gorenstein ladders of theorems take it. colon and colon_powers
-stay on the paths above.
+multiplication by the variables on A's standard monomials, and its rows in
+reduced echelon form, with J's basis, are a Groebner basis of S, so reduce_gb
+of them is S's published basis. The kernel's pivots are the monomials that
+leave the staircase, so R/S's standard monomials are A's minus those pivots,
+and the socle dimension is the difference of the two lengths. Nor is a colon
+by a power of m: S : m^(i+1) = (S : m^i) : m is the socle of R/(S : m^i), so
+_socle_series walks those rungs as socle quotients, each handing its
+staircase on, and the Gorenstein ladders of theorems take it. colon and
+colon_powers stay on the paths above.
 """
 
 from __future__ import annotations
@@ -348,8 +343,8 @@ def make_quotient(J: Ideal) -> QuotientRing:
     return QuotientRing(ring, J, tuple(std))
 
 
-def _add_multiple(v: dict, c, w: dict, p) -> None:
-    """v += c * w in place for sparse {column: entry} vectors, dropping zeros."""
+def _add_multiple(v: dict, c, w: dict, p) -> dict:
+    """v += c * w in place for sparse {column: entry} vectors, dropping zeros; returns v."""
     for k, x in w.items():
         y = v.get(k, 0) + c * x
         if p:
@@ -358,31 +353,41 @@ def _add_multiple(v: dict, c, w: dict, p) -> None:
             v[k] = y
         else:
             v.pop(k, None)
+    return v
 
 
-def _socle_kernel(A: QuotientRing) -> dict:
-    """The kernel of a -> (NF_J(x_1 a), ..., NF_J(x_n a)) on A's standard monomials.
+def socle_quotient(A: QuotientRing) -> QuotientRing:
+    """R/S for the socle S = J : m of A = R/J, from A alone.
 
-    Returns its reduced row echelon basis over the standard monomials taken
-    descending, as {pivot key: {key: entry}} with entry 1 at the pivot. The
-    standard monomials b are walked ascending. Each image is reduced, greatest
-    column first, against the triangular images kept so far, carrying the
-    combination of standard monomials it stands for. An image that vanishes
-    leaves a kernel vector with pivot b. Its other monomials are below b and
-    come from kept combinations, which hold only monomials whose images were
-    kept, never a pivot; so the kernel basis is already in reduced form.
+    S/J is the kernel W of a -> (NF_J(x_1 a), ..., NF_J(x_n a)) on A's standard
+    monomials, so S = J + (lifts of W). The standard monomials b are walked
+    ascending. Each image is reduced, greatest column first, against the
+    triangular images kept so far, carrying the combination of standard
+    monomials it stands for. An image that vanishes leaves a row of W with pivot
+    b. Its other monomials are below b and come from kept combinations, which
+    hold only monomials whose images were kept, never a pivot; so the rows are
+    W's reduced row echelon basis over the standard monomials taken descending.
+
+    Then in(S) = in(J) ∪ pivots(W): the monomials outside both number
+    length(A) - dim W = length(R/S). So J's reduced basis and W's rows are a
+    Groebner basis of S in the ring's own order, and reduce_gb of them is S's
+    published basis (groebner's publication rule). R/S's standard monomials are
+    A's without W's pivots, still ascending. No colon and no make_quotient runs.
+
+    The socle dimension dim_k S/J is A.length - socle_quotient(A).length, and A
+    is Gorenstein exactly when it is 1. The zero ring's socle is (1), of
+    dimension 0.
     """
     ring, J = A.ring, A.defining
     p, one = ring.field.p, ring.field.one
-    inv = ring.field.inv
-    key = ring.order.key
+    key, exps = ring.order.key, ring.order.exps
     n = ring.nvars
     staircase = [key(e) for e in A.standard_monomials]
     standard = set(staircase)
     shifts = [key(tuple(int(k == i) for k in range(n))) for i in range(n)]
     border = {}  # NF_J of each border monomial met, by its key
     images = {}  # greatest column -> (image, combination), scaled so the image is 1 there
-    kernel = {}
+    kernel = {}  # pivot -> row of W
     for b in staircase:
         image = {}
         for i, shift in enumerate(shifts):
@@ -401,11 +406,9 @@ def _socle_kernel(A: QuotientRing) -> dict:
             kept = images.get(top)
             if kept is None:
                 if image[top] != one:
-                    scale = inv(image[top])
-                    image = {k: c * scale % p if p else c * scale for k, c in image.items()}
-                    combination = {
-                        k: c * scale % p if p else c * scale for k, c in combination.items()
-                    }
+                    scale = ring.field.inv(image[top])
+                    image = _add_multiple({}, scale, image, p)
+                    combination = _add_multiple({}, scale, combination, p)
                 images[top] = (image, combination)
                 break
             c = -image[top]
@@ -413,45 +416,14 @@ def _socle_kernel(A: QuotientRing) -> dict:
             _add_multiple(combination, c, kept[1], p)
         else:
             kernel[b] = combination
-    return kernel
-
-
-def socle_quotient(A: QuotientRing) -> QuotientRing:
-    """R/S for the socle S = J : m of A = R/J, from A alone.
-
-    S/J is the kernel W of a -> (NF_J(x_i a))_i on A's standard monomials
-    (_socle_kernel), so S = J + (lifts of W). In W's reduced row echelon form
-    over the standard monomials taken descending, in(S) = in(J) ∪ pivots(W):
-    the monomials outside both number length(A) - dim W = length(R/S). So R/S's
-    standard monomials are A's without W's pivots, still ascending, and each
-    minimal generator t of in(S) names one element of S's reduced basis: W's
-    row with pivot t, or else J's basis element with lead t, its tail reduced
-    by W's rows. That basis is published; no colon and no make_quotient runs.
-
-    The socle dimension dim_k S/J is A.length - socle_quotient(A).length, and A
-    is Gorenstein exactly when it is 1. The zero ring's socle is (1), of
-    dimension 0.
-    """
-    ring = A.ring
-    p = ring.field.p
-    key, exps = ring.order.key, ring.order.exps
-    kernel = _socle_kernel(A)
-    leads = [(g.leading_exps, g) for g in A.defining.groebner_basis()]
-    leads += [(exps(k), row) for k, row in kernel.items()]
-    basis = []
-    for e, item in leads:
-        if any(d != e and mono_divides(d, e) for d, _ in leads):
-            continue  # not a minimal generator of in(S)
-        if type(item) is Polynomial:
-            row = dict(item.terms)
-            for k, c in item.terms[1:]:
-                if k in kernel:
-                    _add_multiple(row, -c, kernel[k], p)
-            item = row
-        basis.append(Polynomial(ring, tuple(sorted(item.items(), reverse=True))))
-    basis.sort(key=lambda g: g.leading_key, reverse=True)
-    standard = tuple(e for e in A.standard_monomials if key(e) not in kernel)
-    return QuotientRing(ring, _known_basis(ring, basis), standard)
+    rows = [Polynomial(ring, tuple(sorted(row.items(), reverse=True))) for row in kernel.values()]
+    basis = reduce_gb(list(J.groebner_basis()) + rows)
+    pivots = {exps(b) for b in kernel}
+    return QuotientRing(
+        ring,
+        _known_basis(ring, basis),
+        tuple(e for e in A.standard_monomials if e not in pivots),
+    )
 
 
 def _socle_series(B: QuotientRing, top: int):

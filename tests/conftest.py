@@ -1,4 +1,4 @@
-"""Shared fixtures: named corpus instances and random-input helpers."""
+"""Shared fixtures: named corpus instances, random-input helpers and the elimination reference."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from colonlab import Ideal, PrimeField, QQ, Ring
+from colonlab import Ideal, PrimeField, QQ, Ring, buchberger, reduce_gb
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -76,3 +76,40 @@ def random_monomial_ideal(rng: random.Random, ring: Ring, max_exp: int = 4, coun
         exps = tuple(rng.randint(0, max_exp) for _ in ring.variables)
         gens.append(ring.monomial(exps))
     return Ideal(ring, tuple(gens))
+
+
+def reference(generators):
+    """The reduced basis of the ideal the generators span, by Buchberger."""
+    return reduce_gb(buchberger(list(generators)))
+
+
+def exact_quotient(g, f):
+    """g / f by long division on leading terms; f must divide g."""
+    field = g.ring.field
+    q = g.ring.zero
+    while not g.is_zero:
+        t = g.ring.monomial(
+            tuple(a - b for a, b in zip(g.leading_exps, f.leading_exps)),
+            field.div(g.leading_coeff, f.leading_coeff),
+        )
+        q, g = q + t, g - t * f
+    return q
+
+
+def eliminated_meet(I, K):
+    """Generators of I ∩ K: the t-free part of a basis of <t I, (1 - t) K> in k[t, x]."""
+    ring = I.ring
+    ext = ring.with_elim_variable()
+    t = ext.variable(0)
+
+    def lift(g):
+        return ext.from_terms(((0,) + e, c) for e, c in g.iter_terms())
+
+    gens = [t * lift(g) for g in I.generators] + [(ext.one - t) * lift(g) for g in K.generators]
+    return [ring.from_terms((e[1:], c) for e, c in g.iter_terms())
+            for g in reduce_gb(buchberger(gens)) if g.leading_exps[0] == 0]
+
+
+def reference_colon(I, f):
+    """The reduced basis of I : (f) = (I ∩ (f)) / f, the meet taken by elimination."""
+    return reference(exact_quotient(g, f) for g in eliminated_meet(I, Ideal(I.ring, (f,))))

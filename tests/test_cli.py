@@ -230,6 +230,22 @@ def test_input_file(tmp_path, capsys):
     assert document["result"]["basis"] == ["x^2", "y^2"]
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("feild = F2\nvars = x,y\ngens = x^2+y^3; x^2+x*y+y^3\n", ":1: unknown key 'feild'"),
+        ("vars = x,y\n# again\nvars = x\ngens = x^2\n", ":3: key 'vars' given twice"),
+    ],
+    ids=["misspelled", "repeated"],
+)
+def test_input_file_refuses_unknown_and_repeated_keys(tmp_path, capsys, text, message):
+    path = tmp_path / "session.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "equiv", "--in", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}{message}")
+
+
 def test_byte_identical_output_modulo_timing(capsys):
     outputs = []
     for _ in range(2):

@@ -5,9 +5,9 @@ it to Buchberger: the closed-form right-hand sides I + m^k of the ladders,
 irrelevant_power and unit_ideal, ideal_intersect under degrevlex, the
 unpermuted variable colon and the exact-division colon (in either order), and
 the power ideal J + I of the equivalence. Each published basis must equal
-reduce_gb(buchberger(...)) of generators spelled out here, over CORPUS and
-hypothesis-generated homogeneous ideals (complete intersections and not), over
-F2, F32003 and Q, under degrevlex and lex. Under lex the elimination
+conftest's reference, reduce_gb(buchberger(...)) of generators spelled out
+here, over CORPUS and hypothesis-generated homogeneous ideals (complete
+intersections and not), over F2, F32003 and Q, under degrevlex and lex. Under lex the elimination
 contraction is a degrevlex basis, so ideal_intersect must still return the lex
 reduced basis there.
 """
@@ -25,7 +25,6 @@ from colonlab import (
     Lex,
     PreconditionError,
     Ring,
-    buchberger,
     check_delta_identity,
     colon,
     graded_hilbert,
@@ -33,7 +32,6 @@ from colonlab import (
     ideal_sum,
     irrelevant_power,
     make_quotient,
-    reduce_gb,
     unit_ideal,
     verify_macaulay_ladder,
 )
@@ -42,7 +40,7 @@ from colonlab.hilbert import _power_ideals
 from colonlab.ideal_ops import _colon_single, monomials_of_degree
 from colonlab.theorems import _complete_intersection, _plus_irrelevant_power
 
-from conftest import CORPUS, F2, F32003, make_ideal
+from conftest import CORPUS, F2, F32003, eliminated_meet, make_ideal, reference, reference_colon
 
 FIELDS = [F2, F32003, QQ]
 ORDERS = [DegRevLex(), Lex()]
@@ -53,10 +51,6 @@ FIELD_ORDER = pytest.mark.parametrize(
 )
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 VARIABLES = ("x", "y", "z")
-
-
-def reference(generators):
-    return reduce_gb(buchberger(list(generators)))
 
 
 def homogeneous_corpus(field, order):
@@ -112,37 +106,6 @@ def check_closed_form(I):
         expected = reference(ideal_sum(I, Ideal(ring, tuple(
             ring.monomial(e) for e in monomials_of_degree(ring, k)))).generators)
         assert _plus_irrelevant_power(I, k).groebner_basis() == expected, (I, k)
-
-
-def exact_quotient(g, f):
-    """g / f by long division on leading terms; f must divide g."""
-    field = g.ring.field
-    q = g.ring.zero
-    while not g.is_zero:
-        t = g.ring.monomial(
-            tuple(a - b for a, b in zip(g.leading_exps, f.leading_exps)),
-            field.div(g.leading_coeff, f.leading_coeff),
-        )
-        q, g = q + t, g - t * f
-    return q
-
-
-def eliminated_meet(I, K):
-    """Generators of I ∩ K: the t-free part of a basis of <t I, (1 - t) K> in k[t, x]."""
-    ring = I.ring
-    ext = ring.with_elim_variable()
-    t = ext.variable(0)
-
-    def lift(g):
-        return ext.from_terms(((0,) + e, c) for e, c in g.iter_terms())
-
-    gens = [t * lift(g) for g in I.generators] + [(ext.one - t) * lift(g) for g in K.generators]
-    return [ring.from_terms((e[1:], c) for e, c in g.iter_terms())
-            for g in reduce_gb(buchberger(gens)) if g.leading_exps[0] == 0]
-
-
-def reference_colon(I, f):
-    return reference(exact_quotient(g, f) for g in eliminated_meet(I, Ideal(I.ring, (f,))))
 
 
 # --- the closed form of I + m^k -------------------------------------------

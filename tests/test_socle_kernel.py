@@ -2,11 +2,11 @@
 
 socle_quotient computes R/S for the socle S of A = R/J by linear algebra on
 A's standard monomials: it publishes S's reduced basis and hands on R/S's
-staircase, A's without the kernel's pivots. The reference is
-spelled out here: J : m as the intersection of the variable colons J : x_j,
-each J ∩ (x_j) taken by elimination in k[t, x] and divided by x_j, the
-intersections by elimination too, and dim = length(A) - length(R/S) from
-standard monomials counted in a box. The inputs are CORPUS and random
+staircase, A's without the kernel's pivots. The reference is spelled out
+with conftest's elimination helpers: J : m as the intersection of the variable
+colons J : x_j, each J ∩ (x_j) taken by elimination in k[t, x] and divided by
+x_j, the intersections by elimination too, and dim = length(A) - length(R/S)
+from standard monomials counted in a box. The inputs are CORPUS and random
 Artinian ideals over F2, F32003 and Q, in degrevlex and lex, homogeneous and
 not, with the zero ring, the fat point and Storch's fixture by name. sympy's
 ideal quotient is a third reference over Q.
@@ -27,9 +27,7 @@ from colonlab import (
     Lex,
     PreconditionError,
     Ring,
-    buchberger,
     make_quotient,
-    reduce_gb,
     socle_quotient,
     storch_ideal,
 )
@@ -37,55 +35,22 @@ from colonlab import ideal_ops
 from colonlab.ideal_ops import monomials_of_degree
 from colonlab.poly import mono_divides
 
-from conftest import CORPUS, F2, F32003, make_ideal
+from conftest import CORPUS, F2, F32003, eliminated_meet, make_ideal, reference, reference_colon
 
 FIELDS = [F2, F32003, QQ]
 ORDERS = [DegRevLex(), Lex()]
 
 
-def reference(generators):
-    return reduce_gb(buchberger(list(generators)))
-
-
-def exact_quotient(g, f):
-    """g / f by long division on leading terms; f must divide g."""
-    field = g.ring.field
-    q = g.ring.zero
-    while not g.is_zero:
-        t = g.ring.monomial(
-            tuple(a - b for a, b in zip(g.leading_exps, f.leading_exps)),
-            field.div(g.leading_coeff, f.leading_coeff),
-        )
-        q, g = q + t, g - t * f
-    return q
-
-
-def eliminated_meet(F, G):
-    """A basis of (F) ∩ (G): the t-free part of a basis of <t F, (1 - t) G> in k[t, x]."""
-    ring = F[0].ring
-    ext = ring.with_elim_variable()
-    t = ext.variable(0)
-
-    def lift(g):
-        return ext.from_terms(((0,) + e, c) for e, c in g.iter_terms())
-
-    gens = [t * lift(f) for f in F] + [(ext.one - t) * lift(g) for g in G]
-    return reference(
-        ring.from_terms((e[1:], c) for e, c in g.iter_terms())
-        for g in reduce_gb(buchberger(gens))
-        if g.leading_exps[0] == 0
-    )
-
-
 def elimination_socle(J):
     """The reduced basis of J : m = ∩_j (J ∩ (x_j)) / x_j."""
     ring = J.ring
-    basis = J.groebner_basis()
+    basis = Ideal(ring, J.groebner_basis())
     result = None
     for j in range(ring.nvars):
-        x = ring.variable(j)
-        part = reference(exact_quotient(g, x) for g in eliminated_meet(basis, [x]))
-        result = part if result is None else eliminated_meet(result, part)
+        part = reference_colon(basis, ring.variable(j))
+        result = part if result is None else reference(
+            eliminated_meet(Ideal(ring, result), Ideal(ring, part))
+        )
     return result
 
 
