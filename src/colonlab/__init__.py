@@ -25,6 +25,7 @@ from .ideal_ops import (
     QuotientRing,
     colon,
     colon_powers,
+    colon_quotient,
     ideal_intersect,
     ideal_power,
     ideal_product,

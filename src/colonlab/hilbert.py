@@ -110,9 +110,9 @@ def nilpotency_index(A: QuotientRing, I: Ideal) -> int:
 def _power_ideals(A: QuotientRing, I: Ideal):
     """[J + I^k for k = 0..delta+1] from one walk of I's power chain: (1) first, J last.
 
-    J + I keeps the generators J + chain[0] (the colon ladder steps by them)
-    and takes its reduced basis from the same ideal that the chain walk
-    returns with its basis computed.
+    J + I keeps the generators J + chain[0]; the equivalence's colon series
+    steps by chain[0], the ones nonzero in A. It takes its reduced basis from
+    the same ideal that the chain walk returns with its basis computed.
     """
     chain, total = _power_chain(A, I)
     J, ring = A.defining, A.ring

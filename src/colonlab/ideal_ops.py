@@ -24,17 +24,19 @@ Results whose reduced basis is already at hand publish it through
 groebner's _known_basis, under the publication rule in groebner's docstring;
 a lex intersection is left to Buchberger.
 
-The socle J : m of an Artinian quotient A = R/J is not taken as a colon.
-socle_quotient reads R/(J : m) off A's staircase: S/J is the kernel of
-multiplication by the variables on A's standard monomials, and its rows in
-reduced echelon form, with J's basis, are a Groebner basis of S, so reduce_gb
-of them is S's published basis. The kernel's pivots are the monomials that
-leave the staircase, so R/S's standard monomials are A's minus those pivots,
-and the socle dimension is the difference of the two lengths. Nor is a colon
-by a power of m: S : m^(i+1) = (S : m^i) : m is the socle of R/(S : m^i), so
-_socle_series walks those rungs as socle quotients, each handing its
-staircase on, and the Gorenstein ladders of theorems take it. colon and
-colon_powers stay on the paths above.
+Colons in an Artinian quotient A = R/J are not taken that way.
+colon_quotient(A, gens) reads R/(J : (gens)) off A's staircase: the colon
+modulo J is the kernel of multiplication by the generators on A's standard
+monomials, and its rows in reduced echelon form, with J's basis, are a
+Groebner basis of the colon, so reduce_gb of them is its published basis. The
+kernel's pivots are the monomials that leave the staircase, so the colon's
+standard monomials are A's minus those pivots. The socle J : m is the colon by
+the variables (socle_quotient), and the socle dimension is the difference of
+the two lengths. Nor is a colon by a power taken: S : K^(i+1) = (S : K^i) : K
+is a colon in R/(S : K^i), so _colon_series walks those rungs as colon
+quotients, each handing its staircase on, and the Gorenstein ladders of
+theorems take it. colon and colon_powers stay on the paths above, for the CLI,
+the complete-intersection ladder and ideals that are not Artinian.
 """
 
 from __future__ import annotations
@@ -356,50 +358,67 @@ def _add_multiple(v: dict, c, w: dict, p) -> dict:
     return v
 
 
-def socle_quotient(A: QuotientRing) -> QuotientRing:
-    """R/S for the socle S = J : m of A = R/J, from A alone.
+def colon_quotient(A: QuotientRing, gens) -> QuotientRing:
+    """R/S for S = J : (gens), A = R/J Artinian, from A alone.
 
-    S/J is the kernel W of a -> (NF_J(x_1 a), ..., NF_J(x_n a)) on A's standard
-    monomials, so S = J + (lifts of W). The standard monomials b are walked
-    ascending. Each image is reduced, greatest column first, against the
-    triangular images kept so far, carrying the combination of standard
-    monomials it stands for. An image that vanishes leaves a row of W with pivot
-    b. Its other monomials are below b and come from kept combinations, which
-    hold only monomials whose images were kept, never a pivot; so the rows are
-    W's reduced row echelon basis over the standard monomials taken descending.
+    S/J is the kernel W of b -> (NF_J(b k_1), ..., NF_J(b k_r)) on A's
+    standard monomials, k_l the given generators, so S = J + (lifts of W). A
+    term of b k_l is either a standard monomial or a monomial outside the
+    staircase, whose normal form is computed once; when k_l is not linear that
+    monomial may lie past the border. Several terms can land on one column of
+    the image, so their coefficients accumulate. The standard monomials b are
+    walked ascending. Each image is reduced, greatest column first, against
+    the triangular images kept so far, carrying the combination of standard
+    monomials it stands for. An image that vanishes leaves a row of W with
+    pivot b. Its other monomials are below b and come from kept combinations,
+    which hold only monomials whose images were kept, never a pivot; so the
+    rows are W's reduced row echelon basis over the standard monomials taken
+    descending.
 
     Then in(S) = in(J) ∪ pivots(W): the monomials outside both number
     length(A) - dim W = length(R/S). So J's reduced basis and W's rows are a
     Groebner basis of S in the ring's own order, and reduce_gb of them is S's
-    published basis (groebner's publication rule). R/S's standard monomials are
-    A's without W's pivots, still ascending. No colon and no make_quotient runs.
-
-    The socle dimension dim_k S/J is A.length - socle_quotient(A).length, and A
-    is Gorenstein exactly when it is 1. The zero ring's socle is (1), of
-    dimension 0.
+    published basis (groebner's publication rule). R/S's standard monomials
+    are A's without W's pivots, still ascending. No colon and no
+    make_quotient runs. A generator that is zero in A contributes nothing, and
+    no generators at all give the unit ideal.
     """
     ring, J = A.ring, A.defining
+    if any(f.ring != ring for f in gens):
+        raise UsageError("generators and quotient live in different rings")
     p, one = ring.field.p, ring.field.one
-    key, exps = ring.order.key, ring.order.exps
-    n = ring.nvars
-    staircase = [key(e) for e in A.standard_monomials]
+    exps = ring.order.exps
+    staircase = [ring.order.key(e) for e in A.standard_monomials]
     standard = set(staircase)
-    shifts = [key(tuple(int(k == i) for k in range(n))) for i in range(n)]
-    border = {}  # NF_J of each border monomial met, by its key
+    # Each generator's terms, a coefficient of one kept as None so it multiplies nothing.
+    factors = [[(t, None if c == one else c) for t, c in f.terms] for f in gens]
+    outside = {}  # NF_J of each monomial met outside the staircase, by its key
     images = {}  # greatest column -> (image, combination), scaled so the image is 1 there
     kernel = {}  # pivot -> row of W
     for b in staircase:
         image = {}
-        for i, shift in enumerate(shifts):
-            k = tuple(map(add, b, shift))
-            if k in standard:
-                image[(k, i)] = one
-                continue
-            terms = border.get(k)
-            if terms is None:
-                terms = border[k] = J.reduce(Polynomial(ring, ((k, one),))).terms
+        for l, terms in enumerate(factors):
             for t, c in terms:
-                image[(t, i)] = c
+                k = tuple(map(add, b, t))
+                if k in standard:
+                    reduced = ((k, one),)
+                else:
+                    reduced = outside.get(k)
+                    if reduced is None:
+                        reduced = outside[k] = J.reduce(Polynomial(ring, ((k, one),))).terms
+                for s, x in reduced:
+                    if c is not None:
+                        x = c * x % p if p else c * x
+                    column = (s, l)
+                    y = image.get(column)
+                    if y is None:
+                        image[column] = x
+                        continue
+                    y = (y + x) % p if p else y + x
+                    if y:
+                        image[column] = y
+                    else:
+                        del image[column]
         combination = {b: one}
         while image:
             top = max(image)
@@ -426,14 +445,24 @@ def socle_quotient(A: QuotientRing) -> QuotientRing:
     )
 
 
-def _socle_series(B: QuotientRing, top: int):
-    """[R/S, R/(S : m), ..., R/(S : m^top)] for B = R/S Artinian, with no colon.
+def socle_quotient(A: QuotientRing) -> QuotientRing:
+    """R/(J : m) for A = R/J: the colon quotient by the variables.
 
-    S : m^i = (S : m^(i-1)) : m is the socle of R/(S : m^(i-1)), so each rung
-    is socle_quotient of the rung below: it publishes its reduced basis and
-    hands its staircase on, so no rung runs Buchberger or make_quotient.
+    The socle dimension dim_k (J : m)/J is A.length - socle_quotient(A).length,
+    and A is Gorenstein exactly when it is 1. The zero ring's socle is (1), of
+    dimension 0.
+    """
+    return colon_quotient(A, irrelevant_power(A.ring, 1).generators)
+
+
+def _colon_series(B: QuotientRing, gens, top: int):
+    """[R/S, R/(S : K), ..., R/(S : K^top)] for B = R/S Artinian, K = (gens), with no colon.
+
+    S : K^i = (S : K^(i-1)) : K, so each rung is colon_quotient of the rung
+    below by the same generators: it publishes its reduced basis and hands its
+    staircase on, so no rung runs Buchberger or make_quotient.
     """
     rungs = [B]
     for _ in range(top):
-        rungs.append(socle_quotient(rungs[-1]))
+        rungs.append(colon_quotient(rungs[-1], gens))
     return rungs

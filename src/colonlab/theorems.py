@@ -11,15 +11,16 @@ i-th power because (I : A) : B = I : AB. The complete-intersection ladder and
 the corollary step by m; the Gorenstein-quotient ladder steps by J + I, since
 J : (J + I^i) = J : I^i. The Gorenstein check computes the socle quotient
 R/(J : m) (ideal_ops.socle_quotient) and reads the socle dimension off the
-two lengths. The corollary takes rung 1 from that quotient, and so does the
-Gorenstein-quotient ladder when J + I = m (their reduced bases are equal).
-Above rung 1 those two ladders walk the socle series (ideal_ops._socle_series):
-a step by m is the socle quotient of the rung below, which hands its staircase
-on, so they take no colon and build no quotient. The complete-intersection
-ladder and the Gorenstein-quotient ladder with J + I != m still walk
-colon_powers: switching them measured faster, but the benchmark reads its
-peak-memory metric after per-instance statistics, which grow with throughput,
-and that reading went past its bound.
+two lengths. The corollary and the Gorenstein-quotient ladder walk a colon
+series (ideal_ops._colon_series): each rung is the colon quotient of the rung
+below by the step's generators, and it hands its staircase on, so they take no
+colon and build no quotient. A step by m starts from the socle quotient that
+the Gorenstein check has computed, which is rung 1. Any other step J + I
+colons by the first ideal of I's power chain, the images in A of J + I's
+basis. Only the complete-intersection ladder still walks colon_powers:
+switching it measured faster, but the benchmark reads its peak-memory metric
+after per-instance statistics, which grow with throughput, and that reading
+went 53% past the parent's, beyond its bound.
 
 The right-hand sides I + m^k of the complete-intersection ladder and the
 corollary have a closed-form reduced basis, since I is homogeneous: I's basis
@@ -50,7 +51,7 @@ from .groebner import Ideal, _known_basis, ideal_equal
 from .hilbert import HilbertTable, _filtration_table, _power_ideals, graded_hilbert, is_symmetric
 from .ideal_ops import (
     QuotientRing,
-    _socle_series,
+    _colon_series,
     colon_powers,
     irrelevant_power,
     make_quotient,
@@ -198,10 +199,13 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
         raise PreconditionError(str(exc)) from None
     delta = len(powers) - 2
     J, step = A.defining, powers[1]
-    if delta and ideal_equal(step, irrelevant_power(A.ring, 1)):
-        lhs = [J] + [Q.defining for Q in _socle_series(B, delta - 1)]  # J : m^i
+    m = irrelevant_power(A.ring, 1)
+    if delta and ideal_equal(step, m):
+        series = _colon_series(B, m.generators, delta - 1)  # rung 1 is the socle at hand
     else:
-        lhs = colon_powers(J, step, delta)
+        gens = [g for g in step.generators if not A.reduce(g).is_zero]  # chain[0]
+        series = _colon_series(A, gens, delta)[1:]
+    lhs = [J] + [Q.defining for Q in series]  # J : I^i
     rungs = _ladder_rungs(lhs, lambda i: powers[delta + 1 - i])
     ladder_holds = all(r.equal for r in rungs)
     table = _filtration_table(A, powers)
@@ -221,7 +225,8 @@ def verify_corollary(J: Ideal) -> LadderReport:
     """
     A, table, B = _graded_gorenstein(J)
     delta = table.delta
-    lhs = [J] + ([Q.defining for Q in _socle_series(B, delta - 1)] if delta else [])
+    series = _colon_series(B, irrelevant_power(J.ring, 1).generators, delta - 1) if delta else []
+    lhs = [J] + [Q.defining for Q in series]
     rungs = _ladder_rungs(lhs, lambda i: _plus_irrelevant_power(J, delta + 1 - i))
     return LadderReport(delta, rungs, all(r.equal for r in rungs))
 

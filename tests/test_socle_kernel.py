@@ -41,17 +41,22 @@ FIELDS = [F2, F32003, QQ]
 ORDERS = [DegRevLex(), Lex()]
 
 
-def elimination_socle(J):
-    """The reduced basis of J : m = ∩_j (J ∩ (x_j)) / x_j."""
+def elimination_colon(J, gens):
+    """The reduced basis of J : (gens) = ∩_l (J ∩ (k_l)) / k_l."""
     ring = J.ring
     basis = Ideal(ring, J.groebner_basis())
     result = None
-    for j in range(ring.nvars):
-        part = reference_colon(basis, ring.variable(j))
+    for f in gens:
+        part = reference_colon(basis, f)
         result = part if result is None else reference(
             eliminated_meet(Ideal(ring, result), Ideal(ring, part))
         )
     return result
+
+
+def elimination_socle(J):
+    """The reduced basis of J : m = ∩_j (J ∩ (x_j)) / x_j."""
+    return elimination_colon(J, [J.ring.variable(j) for j in range(J.ring.nvars)])
 
 
 def staircase_length(basis):

@@ -1,16 +1,20 @@
 """The socle series S : m^i, each rung the socle of R/(rung below), against colon_powers.
 
-ideal_ops._socle_series walks R/S, R/(S : m), ..., R/(S : m^top), each rung
-the socle quotient of the rung below, with no colon and no make_quotient. The
-reference is colon_powers(S, m, top), the elimination ladder, and rung 1 of
-J's series is checked against the elimination socle of
+ideal_ops._colon_series by the variables walks R/S, R/(S : m), ...,
+R/(S : m^top), each rung the socle quotient of the rung below, with no colon
+and no make_quotient. The reference is colon_powers(S, m, top), the elimination
+ladder, and rung 1 of J's series is checked against the elimination socle of
 tests/test_socle_kernel.py. Each rung's handed-on staircase equals
 make_quotient of the rung's published basis. The inputs are CORPUS in
 degrevlex and lex, random Artinian ideals over F2, F32003 and Q (homogeneous
 and not), Storch's fixture, its char-2 variant and the fat point x^2, xy, y^2.
 The Gorenstein ladders of verify_corollary and verify_main_equivalence(A, m)
 walk this series: their reports equal those of the colon_powers ladder, and
-they take no colon, no intersection and no quotient beyond R/J.
+they take no colon, no intersection and no quotient beyond R/J. With
+J + I != m the equivalence walks J's colon series by the generators of I's
+power chain instead: for CORPUS in both orders, with I = m^2, (x, y^2) and
+random forms, its reports equal those of colon_powers too, and it takes no
+colon.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import pytest
 from colonlab import (
     QQ,
     DegRevLex,
+    Ideal,
     Lex,
     PreconditionError,
     colon_powers,
@@ -33,12 +38,17 @@ from colonlab import (
     verify_main_equivalence,
 )
 from colonlab import ideal_ops
-from colonlab.ideal_ops import _socle_series
+from colonlab.ideal_ops import _colon_series, monomials_of_degree
 
 from conftest import CHAR2_VARIANT_GENS, CORPUS, F2, F32003, make_ideal
 from test_socle_kernel import elimination_socle, random_artinian_ideal
 
 ORDERS = [DegRevLex(), Lex()]
+
+
+def socle_series(B, top):
+    """The colon series of B by the variables: B, then B's socle quotient, and so on."""
+    return _colon_series(B, irrelevant_power(B.ring, 1).generators, top)
 
 
 def check_series(J, top):
@@ -47,7 +57,7 @@ def check_series(J, top):
     Each rung's staircase, handed on from the rung below, equals make_quotient
     of the rung's published basis.
     """
-    series = _socle_series(make_quotient(J), top)
+    series = socle_series(make_quotient(J), top)
     ladder = colon_powers(J, irrelevant_power(J.ring, 1), top)
     assert len(series) == len(ladder) == top + 1
     rungs = [B.defining for B in series]
@@ -90,16 +100,16 @@ def test_named_series():
     check_series(make_ideal(F2, ("x", "y"), CHAR2_VARIANT_GENS), 5)
     check_series(make_ideal(QQ, ("x", "y"), ("x^2", "x*y", "y^2")), 3)
     A = make_quotient(make_ideal(QQ, ("x", "y"), ("x^2", "y^2")))
-    assert _socle_series(A, 0) == [A]
+    assert socle_series(A, 0) == [A]
 
 
 def colon_ladder(monkeypatch):
-    """Make the Gorenstein ladders walk colon_powers by m, as the reference."""
+    """Make the Gorenstein ladders walk colon_powers by their step, as the reference."""
     monkeypatch.setattr(
         theorems,
-        "_socle_series",
-        lambda B, top: [
-            make_quotient(K) for K in colon_powers(B.defining, irrelevant_power(B.ring, 1), top)
+        "_colon_series",
+        lambda B, gens, top: [
+            make_quotient(K) for K in colon_powers(B.defining, Ideal(B.ring, tuple(gens)), top)
         ],
     )
 
@@ -146,6 +156,63 @@ def test_equivalence_reports_match_the_colon_ladder(field, gens, monkeypatch):
     report = verify_main_equivalence(A, m)
     colon_ladder(monkeypatch)
     assert verify_main_equivalence(A, m) == report
+
+
+def inner_ideals(J, rng):
+    """Ideals I inside m other than m: m^2, (x, y^2) and random forms of degrees 1 and 2."""
+    ring = J.ring
+    first, last = ring.variable(0), ring.variable(ring.nvars - 1)
+    monomials = monomials_of_degree(ring, 1) + monomials_of_degree(ring, 2)
+    count, forms = rng.randint(1, 2), []
+    while len(forms) < count:
+        form = ring.from_terms(
+            (e, ring.field.random_element(rng)) for e in monomials if rng.random() < 0.5
+        )
+        if not form.is_zero:
+            forms.append(form)
+    return [irrelevant_power(ring, 2), Ideal(ring, (first, last * last)), Ideal(ring, tuple(forms))]
+
+
+def equivalence_outcome(A, I):
+    """The report, or the type and message of the PreconditionError it raises."""
+    try:
+        return verify_main_equivalence(A, I)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+OFF_M = [case for case in CORPUS if case[4]] + [
+    ("x2-y2_xy", QQ, ("x", "y"), ("x^2-y^2", "x*y"), True),
+]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name)
+@pytest.mark.parametrize("case", OFF_M, ids=[case[0] for case in OFF_M])
+def test_equivalence_reports_off_m_match_the_colon_ladder(case, order, monkeypatch):
+    """J + I != m: the ladder walks J's colon series by the chain's generators of I."""
+    name, field, variables, gens, _ = case
+    J = make_ideal(field, variables, gens, order)
+    A = make_quotient(J)
+    inners = inner_ideals(J, random.Random(f"equiv/{name}/{order.name}"))
+    reports = [equivalence_outcome(A, I) for I in inners]
+    assert any(not isinstance(r, tuple) for r in reports), name  # some I is a verdict
+    colon_ladder(monkeypatch)
+    assert [equivalence_outcome(A, I) for I in inners] == reports, name
+
+
+def test_equivalence_off_m_takes_no_colon(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the equivalence took a colon or an intersection")
+
+    monkeypatch.setattr(ideal_ops, "colon", refuse)
+    monkeypatch.setattr(ideal_ops, "ideal_intersect", refuse)
+    monkeypatch.setattr(theorems, "colon_powers", refuse)
+    A = make_quotient(make_ideal(QQ, ("x", "y", "z"), ("x^2", "y^2", "z^3")))
+    report = verify_main_equivalence(A, irrelevant_power(A.ring, 2))
+    assert report.consistent and report.delta == 2
+    A = make_quotient(storch_ideal())
+    report = verify_main_equivalence(A, Ideal(A.ring, (A.ring.parse("x"), A.ring.parse("y^2"))))
+    assert report.consistent
 
 
 def test_gorenstein_ladders_take_no_colon_and_no_intersection(monkeypatch):
