@@ -17,9 +17,9 @@ published basis is one of
 - a closed form: unit_ideal, irrelevant_power, or the ladders' I + m^k;
 - the degrevlex elimination contraction (a lex intersection must not publish
   it: it is a degrevlex basis);
-- the shared basis of the equivalence's power ideal J + I;
 - reduce_gb of a Groebner basis in the ring's own order: the unpermuted
-  variable colon, the exact-division colon and the socle quotient.
+  variable colon, the exact-division colon, the colon quotient and the
+  power series' rungs J + K^k (whose J + K the equivalence shares).
 """
 
 from __future__ import annotations
@@ -37,8 +37,12 @@ def _require_ring(ring: Ring, polys) -> None:
 
 
 def _divisor(g: Polynomial):
-    """The reducer entry of a nonzero g: (lead exponents, lead key, 1/lc, terms)."""
-    return (g.leading_exps, g.leading_key, g.ring.field.inv(g.leading_coeff), g.terms)
+    """The reducer entry of a nonzero g: (lead exponents, lead key, 1/lc, terms).
+
+    A monic g, as buchberger and reduce_gb keep theirs, takes no inversion.
+    """
+    field, lc = g.ring.field, g.leading_coeff
+    return (g.leading_exps, g.leading_key, lc if lc == field.one else field.inv(lc), g.terms)
 
 
 def _reduce(f: Polynomial, divisors) -> Polynomial:
@@ -189,7 +193,10 @@ def reduce_gb(G):
 
     Autoreduces to a fixpoint (every element in normal form against the
     others), which both minimalizes a Groebner basis and absorbs redundant
-    presentations like [x^2, x^2 + y^2].
+    presentations like [x^2, x^2 + y^2]. Whether a term is reducible depends
+    only on the others' leading monomials, so a pass that removes no element
+    and changes no leading monomial leaves every element in normal form, and
+    no confirming pass follows it.
     """
     work = [g for g in G if not g.is_zero]
     if not work:
@@ -208,7 +215,8 @@ def reduce_gb(G):
                 passed.append(g)
                 passed_entries.append(entries[i])
                 continue
-            stable = False
+            if r.is_zero or r.leading_key != g.leading_key:
+                stable = False
             if not r.is_zero:
                 r = r.monic()
                 passed.append(r)
@@ -275,10 +283,10 @@ def _known_basis(ring: Ring, basis, generators=None) -> Ideal:
     basis must be the reduced monic basis in ring's own order, sorted
     descending, exactly as reduce_gb returns it; generators default to it.
     The publication rule in the module docstring says which bases qualify: a
-    closed form, the degrevlex elimination contraction, J + I's shared basis,
-    or reduce_gb of a Groebner basis in ring's own order. A Groebner basis in
-    another order (the lex ring's elimination contractions, which are
-    degrevlex) must never be published this way.
+    closed form, the degrevlex elimination contraction, or reduce_gb of a
+    Groebner basis in ring's own order. A Groebner basis in another order
+    (the lex ring's elimination contractions, which are degrevlex) must never
+    be published this way.
     """
     ideal = Ideal(ring, basis if generators is None else generators)
     ideal._gb = tuple(basis)
