@@ -17,9 +17,10 @@ published basis is one of
 - a closed form: unit_ideal, irrelevant_power, or the ladders' I + m^k;
 - the degrevlex elimination contraction (a lex intersection must not publish
   it: it is a degrevlex basis);
+- the shared basis of the equivalence's power ideal J + I;
 - reduce_gb of a Groebner basis in the ring's own order: the unpermuted
-  variable colon, the exact-division colon, the colon quotient and the
-  power series' rungs J + K^k (whose J + K the equivalence shares).
+  variable colon, the exact-division colon and the colon quotient (the socle
+  quotient among them).
 """
 
 from __future__ import annotations
@@ -131,8 +132,10 @@ def buchberger(gens, use_chain_criterion: bool = True):
     """A Groebner basis of <gens> (monic, not autoreduced).
 
     Pair selection is the normal strategy: minimal lcm degree first, ties by
-    pair index. The coprime criterion always applies; the chain criterion is
-    controlled by the flag.
+    pair index. The coprime criterion always applies, and so does the skip of
+    a pair of monomials, whose S-polynomial is zero; the chain criterion is
+    controlled by the flag. A skipped pair counts as treated for the chain
+    criterion, as a pair that reduced to zero does.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -161,6 +164,8 @@ def buchberger(gens, use_chain_criterion: bool = True):
         lcm = mono_lcm(li, lj)
         if all(x + y == z for x, y, z in zip(li, lj, lcm)):
             continue  # coprime leading monomials
+        if len(divisors[i][3]) == 1 == len(divisors[j][3]):
+            continue  # two monomials: the S-polynomial is zero
         if use_chain_criterion and _chain_applies(i, j, lcm, lead, done):
             continue
         r = _reduce(_s_pair(ring, divisors[i], divisors[j], lcm), divisors)
@@ -283,10 +288,10 @@ def _known_basis(ring: Ring, basis, generators=None) -> Ideal:
     basis must be the reduced monic basis in ring's own order, sorted
     descending, exactly as reduce_gb returns it; generators default to it.
     The publication rule in the module docstring says which bases qualify: a
-    closed form, the degrevlex elimination contraction, or reduce_gb of a
-    Groebner basis in ring's own order. A Groebner basis in another order
-    (the lex ring's elimination contractions, which are degrevlex) must never
-    be published this way.
+    closed form, the degrevlex elimination contraction, J + I's shared basis,
+    or reduce_gb of a Groebner basis in ring's own order. A Groebner basis in
+    another order (the lex ring's elimination contractions, which are
+    degrevlex) must never be published this way.
     """
     ideal = Ideal(ring, basis if generators is None else generators)
     ideal._gb = tuple(basis)

@@ -1,21 +1,18 @@
 """Hilbert functions of Artinian quotients and I-adic filtrations.
 
-Lengths are always standard-monomial counts; no generating-function
-arithmetic. The ideals J + I^k, k = 0..delta+1, and their lengths are built
-once per table (_power_ideals), from one walk of ideal_ops._power_series: each
-rung R/(J + I^k) is an echelon of I^k's image on A's staircase, with its
-reduced basis published and its length ell(A) - dim, so no Buchberger and no
-make_quotient runs for them. The filtration table reads those lengths
-(_filtration_table), and verify_main_equivalence compares its colon ladder
-with the same Ideal objects. J + (1) is the known unit ideal and
-J + I^(delta+1) is J.
+Lengths are always standard-monomial counts against a reduced Groebner basis;
+no generating-function arithmetic. Powers of an ideal inside the quotient are
+tracked through normal-form-reduced generator sets, which leaves the image
+ideals unchanged. The chain starts from the reduced basis of J + I taken mod J,
+so the first step holds no redundant generators, and each later step forms
+every product of base elements sorted by index once (_power_chain).
 
-The polynomial power chain stays: powers of an ideal inside the quotient
-tracked through normal-form-reduced generator sets, starting from the reduced
-basis of J + I taken mod J, so the first step holds no redundant generators.
-It is the tests' reference (image_power_chain), and _chain_power_ideals builds
-the same list from it with Buchberger on each J + I^k, for the equivalence's
-I = m (see theorems).
+The ideals J + I^k, k = 0..delta+1, are built once from that chain
+(_power_ideals). The filtration table reads their lengths (_filtration_table),
+and verify_main_equivalence compares its colon ladder with the same Ideal
+objects, so each of them computes its Groebner basis once. J + (1) is the
+known unit ideal, and J + I shares the basis that the chain walk, which
+_power_ideals runs itself, computes for its unit check.
 """
 
 from __future__ import annotations
@@ -24,14 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionError, UsageError
 from .groebner import Ideal, _known_basis
-from .ideal_ops import (
-    QuotientRing,
-    _dedup_nonzero,
-    _power_series,
-    ideal_sum,
-    make_quotient,
-    unit_ideal,
-)
+from .ideal_ops import QuotientRing, _dedup_nonzero, ideal_sum, make_quotient, unit_ideal
 
 KIND_GRADED = "graded"
 KIND_FILTRATION = "filtration"
@@ -90,7 +80,18 @@ def image_power_chain(A: QuotientRing, I: Ideal):
 
 
 def _power_chain(A: QuotientRing, I: Ideal):
-    """(image_power_chain(A, I), J + I), the ideal J + I with its basis computed."""
+    """(image_power_chain(A, I), J + I), the ideal J + I with its basis computed.
+
+    The base is gens(I^1), and step k + 1 holds the normal forms of the
+    products of k + 1 base elements. Each element of a step is kept with the
+    least index of a last factor among the products sorted by index that it
+    was reached as, and is multiplied only by the base elements from that
+    index on. A sorted product of k + 1 factors is its first k factors, whose
+    normal form is kept with an index at most that of the k-th, times the
+    last. So every sorted product is reached, no two products formed stand
+    for the same sorted product, and the steps hold the same polynomials as
+    multiplying every element by every base element would.
+    """
     if I.ring != A.ring:
         raise UsageError("ideal and quotient live in different rings")
     total = ideal_sum(A.defining, Ideal(A.ring, tuple(A.reduce(f) for f in I.generators)))
@@ -98,75 +99,54 @@ def _power_chain(A: QuotientRing, I: Ideal):
         raise UsageError("ideal is the unit ideal in the quotient; a proper ideal is required")
     base = _dedup_nonzero(A.reduce(g) for g in total.groebner_basis())
     chain = []
-    current = base
+    current = {f.terms: (f, i) for i, f in enumerate(base)}  # terms -> (element, least index)
     while current:
-        chain.append(current)
+        chain.append([f for f, _ in current.values()])
         if len(chain) > max(A.length, 1):
             raise PreconditionError(
                 "ideal is not nilpotent in the quotient (not m-primary)"
             )
-        current = _dedup_nonzero(A.reduce(a * b) for a in current for b in base)
+        step = {}
+        for a, least in current.values():
+            for j in range(least, len(base)):
+                f = A.reduce(a * base[j])
+                if not f.is_zero:
+                    kept = step.setdefault(f.terms, (f, j))
+                    if j < kept[1]:
+                        step[f.terms] = (kept[0], j)
+        current = step
     return chain, total
 
 
 def nilpotency_index(A: QuotientRing, I: Ideal) -> int:
     """The largest i with I^i nonzero in A (0 when the image of I is zero).
 
-    The verifiers read delta off their power ideals themselves; the tests use
-    this as the reference delta for ladder lengths and the corollary's delta.
+    The verifiers read delta off _power_chain themselves; the tests use this
+    as the reference delta for ladder lengths and the corollary's delta.
     """
     return len(image_power_chain(A, I))
 
 
-class _Powers(list):
-    """[J + I^k for k = 0..delta+1], with lengths[k] = ell(R/(J + I^k))."""
+def _power_ideals(A: QuotientRing, I: Ideal):
+    """[J + I^k for k = 0..delta+1] from one walk of I's power chain: (1) first, J last.
 
-    __slots__ = ("lengths",)
-
-
-def _power_ideals(A: QuotientRing, I: Ideal) -> _Powers:
-    """[J + I^k for k = 0..delta+1] from one _power_series walk: (1) first, J last.
-
-    Rung k of the series is R/(J + I^k) with its basis published, and its
-    length rides along. J + I keeps the generators J + chain[0], chain[0] the
-    images in A of its reduced basis that are nonzero there, as
-    image_power_chain's first step reads them; the equivalence's colon series
-    steps by those.
-    """
-    if I.ring != A.ring:
-        raise UsageError("ideal and quotient live in different rings")
-    J, ring = A.defining, A.ring
-    series = _power_series(A, _dedup_nonzero(A.reduce(f) for f in I.generators))
-    powers = _Powers([unit_ideal(ring)] + [Q.defining for Q in series] + [J])
-    powers.lengths = [0] + [Q.length for Q in series] + [A.length]
-    if series:
-        basis = series[0].defining.groebner_basis()
-        chain0 = _dedup_nonzero(A.reduce(g) for g in basis)
-        powers[1] = _known_basis(ring, basis, _dedup_nonzero(J.generators + tuple(chain0)))
-    return powers
-
-
-def _chain_power_ideals(A: QuotientRing, I: Ideal) -> _Powers:
-    """_power_ideals(A, I) from one walk of I's power chain, with Buchberger on each J + I^k.
-
-    J + I shares the basis that the chain walk computes for its unit check,
-    and the lengths enumerate each staircase. The equivalence takes this path
-    for I = m (see theorems).
+    J + I keeps the generators J + chain[0]; the equivalence's colon series
+    steps by chain[0], the ones nonzero in A. It takes its reduced basis from
+    the same ideal that the chain walk returns with its basis computed.
     """
     chain, total = _power_chain(A, I)
     J, ring = A.defining, A.ring
     sums = [ideal_sum(J, Ideal(ring, tuple(gens))) for gens in chain]
     if sums:
         sums[0] = _known_basis(ring, total.groebner_basis(), sums[0].generators)
-    powers = _Powers([unit_ideal(ring)] + sums + [J])
-    powers.lengths = [0] + [length_of_quotient(P) for P in sums] + [A.length]
-    return powers
+    return [unit_ideal(ring)] + sums + [J]
 
 
-def _filtration_table(A: QuotientRing, powers: _Powers) -> HilbertTable:
-    """H(I, i) = ell(R/(J + I^(i+1))) - ell(R/(J + I^i)) over _power_ideals' lengths."""
-    lengths = powers.lengths
-    delta = len(lengths) - 2
+def _filtration_table(A: QuotientRing, powers) -> HilbertTable:
+    """H(I, i) = ell(R/(J + I^(i+1))) - ell(R/(J + I^i)) over _power_ideals' list."""
+    # The two ends are known: ell(R/(1)) = 0 and ell(R/J) = ell(A).
+    lengths = [0] + [length_of_quotient(P) for P in powers[1:-1]] + [A.length]
+    delta = len(powers) - 2
     values = tuple(lengths[i + 1] - lengths[i] for i in range(delta + 1))
     if sum(values) != A.length:
         raise InternalError("filtration table does not sum to the quotient length")

@@ -16,10 +16,10 @@ series (ideal_ops._colon_series): each rung is the colon quotient of the rung
 below by the step's generators, and it hands its staircase on, so they take no
 colon and build no quotient. A step by m starts from the socle quotient that
 the Gorenstein check has computed, which is rung 1. Any other step J + I
-colons by the images in A of J + I's basis that are nonzero there. Only the
-complete-intersection ladder still walks colon_powers: switching it measured
-faster, but the benchmark reads its peak-memory metric after per-instance
-statistics, which grow with throughput, and that reading
+colons by the first ideal of I's power chain, the images in A of J + I's
+basis. Only the complete-intersection ladder still walks colon_powers:
+switching it measured faster, but the benchmark reads its peak-memory metric
+after per-instance statistics, which grow with throughput, and that reading
 went 53% past the parent's, beyond its bound.
 
 The right-hand sides I + m^k of the complete-intersection ladder and the
@@ -31,18 +31,11 @@ check_delta_identity after verify_macaulay_ladder on the same generators
 builds it once.
 
 The Gorenstein-quotient ladder and its filtration table share one list of
-power ideals J + I^k: the step is J + I, the right-hand side of rung i is
-J + I^(delta+1-i), and the table reads the lengths of the same ideals. For
-I != m the list is read off one power series of A (hilbert._power_ideals over
-ideal_ops._power_series), so every basis on both sides is published by a
-kernel and, once A is built, the equivalence runs no Buchberger. For I = m it
-still comes from I's power chain with Buchberger on each J + m^k
-(hilbert._chain_power_ideals): switching that branch too measured 1.44x the
-parent's verdicts per second on the benchmark's equivalence workload, and the
-benchmark reads its peak-memory metric after per-instance statistics, which
-grow with throughput, so that reading went 11% past the parent's, beyond its
-10% bound. The corollary reads delta off its graded table: J is homogeneous,
-so A is standard graded, m^i is the sum of the pieces of degree >= i, and the
+power ideals J + I^k (hilbert._power_ideals), built from one power chain: the
+step is J + I, the right-hand side of rung i is J + I^(delta+1-i), and the
+table reads the lengths of the same Ideal objects, so no basis is computed
+twice. The corollary reads delta off its graded table: J is homogeneous, so A
+is standard graded, m^i is the sum of the pieces of degree >= i, and the
 largest i with m^i != 0 is the top degree.
 """
 
@@ -55,14 +48,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError, UsageError
 from .fields import PrimeField
 from .groebner import Ideal, _known_basis, ideal_equal
-from .hilbert import (
-    HilbertTable,
-    _chain_power_ideals,
-    _filtration_table,
-    _power_ideals,
-    graded_hilbert,
-    is_symmetric,
-)
+from .hilbert import HilbertTable, _filtration_table, _power_ideals, graded_hilbert, is_symmetric
 from .ideal_ops import (
     QuotientRing,
     _colon_series,
@@ -207,14 +193,13 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
     if I.ring != A.ring:
         raise UsageError("ideal and quotient live in different rings")
     B = _gorenstein_socle(A)
-    m = irrelevant_power(A.ring, 1)
-    walk = _chain_power_ideals if ideal_equal(I, m) else _power_ideals
     try:
-        powers = walk(A, I)  # powers[k] = J + I^k
+        powers = _power_ideals(A, I)  # powers[k] = J + I^k
     except UsageError as exc:  # I is the unit ideal in A
         raise PreconditionError(str(exc)) from None
     delta = len(powers) - 2
     J, step = A.defining, powers[1]
+    m = irrelevant_power(A.ring, 1)
     if delta and ideal_equal(step, m):
         series = _colon_series(B, m.generators, delta - 1)  # rung 1 is the socle at hand
     else:

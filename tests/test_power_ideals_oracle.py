@@ -1,15 +1,13 @@
-"""The powers J + K^k read off the quotient's staircase, against the oracle.
+"""The power ideals J + I^k of the filtration table, against the oracle.
 
-ideal_ops._power_series(A, gens) returns R/(J + K^k) for k = 1, 2, ... up to
-the last power of K = (gens) that is nonzero in A = R/J, from echelons of the
-images of K^k on A's standard monomials. The reference is the oracle, which
-shares no code with it: in M = build_model(A), rung k's published basis spans
-oracle_power(M, V, k), V the image of K, and the lengths give
-oracle_filtration_hilbert's table. Each rung's basis is also reduced, and its
-handed-on staircase is make_quotient's. The inputs are CORPUS in both orders
-and random Artinian ideals over F2, F32003 and Q, by pure powers and a random
-form, with random forms as generators; a set of generators that is the unit
-ideal in A, or not nilpotent there, must fail as the oracle does.
+hilbert._power_ideals(A, I) returns [(1), J + I, ..., J + I^delta, J], the
+list that the equivalence's ladder and its filtration table share. The
+reference is the oracle, which shares no code with it: in M = build_model(A),
+J + I^k spans oracle_power(M, V, k), V the image of I, and filtration_hilbert
+equals oracle_filtration_hilbert. The inputs are CORPUS in both orders and
+random Artinian ideals over F2, F32003 and Q, by pure powers and a random
+form, with random forms as I's generators; an I that is the unit ideal in A,
+or not nilpotent there, must fail as the oracle does.
 """
 
 from __future__ import annotations
@@ -28,14 +26,15 @@ from colonlab import (
     Ring,
     UsageError,
     build_model,
+    filtration_hilbert,
     make_quotient,
     oracle_filtration_hilbert,
     oracle_power,
-    reduce_gb,
     subspace_of_ideal,
 )
 from colonlab.cli import main
-from colonlab.ideal_ops import _power_series, monomials_of_degree
+from colonlab.hilbert import _power_ideals
+from colonlab.ideal_ops import monomials_of_degree
 
 from conftest import CORPUS, F2, F32003, make_ideal
 from test_colon_quotient import generator_sets
@@ -45,27 +44,22 @@ ORDERS = [DegRevLex(), Lex()]
 
 
 def check_powers_against_oracle(J, gens):
-    """Compare _power_series(A, gens) with the oracle; True when K is nilpotent and proper."""
+    """Compare _power_ideals(A, I), I = (gens), with the oracle; True when I is nilpotent and proper."""
     A = make_quotient(J)
     M = build_model(A)
-    K = Ideal(J.ring, tuple(gens))
+    I = Ideal(J.ring, tuple(gens))
     try:
-        table = oracle_filtration_hilbert(M, K)
+        table = oracle_filtration_hilbert(M, I)
     except (UsageError, PreconditionError) as exc:
         with pytest.raises(type(exc)):
-            _power_series(A, gens)
+            _power_ideals(A, I)
         return False
-    V = subspace_of_ideal(M, K)
-    series = _power_series(A, gens)
-    assert len(series) == table.delta, (J, gens)
-    for k, rung in enumerate(series, 1):
-        basis = rung.defining.groebner_basis()
-        assert rung.defining._gb is not None  # published through _known_basis
-        assert reduce_gb(basis) == basis, (J, gens, k)
-        assert subspace_of_ideal(M, rung.defining) == oracle_power(M, V, k), (J, gens, k)
-        assert rung.standard_monomials == make_quotient(rung.defining).standard_monomials
-    lengths = [0] + [rung.length for rung in series] + [A.length]
-    assert tuple(b - a for a, b in zip(lengths, lengths[1:])) == table.values, (J, gens)
+    V = subspace_of_ideal(M, I)
+    powers = _power_ideals(A, I)
+    assert len(powers) == table.delta + 2, (J, gens)
+    for k, power in enumerate(powers[1:-1], 1):
+        assert subspace_of_ideal(M, power) == oracle_power(M, V, k), (J, gens, k)
+    assert filtration_hilbert(A, I) == table, (J, gens)
     return True
 
 
@@ -106,7 +100,7 @@ def random_form(rng, ring, degree):
 @pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_random_powers_match_the_oracle(field, homogeneous):
-    rng = random.Random(f"power-series/{field.name}/{homogeneous}")
+    rng = random.Random(f"power-ideals/{field.name}/{homogeneous}")
     checked = 0
     while checked < 6:
         J = random_ideal(rng, field, homogeneous)
@@ -121,7 +115,7 @@ def test_random_powers_match_the_oracle(field, homogeneous):
 
 
 def test_three_quadrics_probe_matches_the_oracle(capsys):
-    """Three quadrics in x^8, y^8, z^8: their powers once held C(k+r-1, r-1) products a step."""
+    """Three quadrics in x^8, y^8, z^8, whose power chain holds up to C(k+2, 2) products a step."""
     quadrics = "x^2+3*y*z-z^2,y^2+5*x*z+2*x*y,z^2+x*y+7*y*z"
     argv = ["equiv", "--vars", "x,y,z", "--gens", "x^8,y^8,z^8", "--ideal2", quadrics, "--json"]
     assert main(argv) == 0
