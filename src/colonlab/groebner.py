@@ -15,12 +15,11 @@ An ideal operation that already holds its result's reduced basis publishes it
 with _known_basis instead of leaving it to Buchberger. The publication rule: a
 published basis is one of
 - a closed form: unit_ideal, irrelevant_power, or the ladders' I + m^k;
-- the degrevlex elimination contraction (a lex intersection must not publish
-  it: it is a degrevlex basis);
-- the shared basis of the equivalence's power ideal J + I;
-- reduce_gb of a Groebner basis in the ring's own order: the unpermuted
-  variable colon, the exact-division colon and the colon quotient (the socle
-  quotient among them).
+- a reduced Groebner basis in the ring's own order: reduce_gb of a Groebner
+  basis in that order (the unpermuted variable colon, the exact-division colon
+  and the colon quotient, the socle quotient among them), or the degrevlex
+  elimination contraction (a lex intersection must not publish it: it is a
+  degrevlex basis).
 """
 
 from __future__ import annotations
@@ -282,18 +281,17 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def _known_basis(ring: Ring, basis, generators=None) -> Ideal:
-    """An Ideal whose reduced Groebner basis is already known to be basis.
+def _known_basis(ring: Ring, basis) -> Ideal:
+    """An Ideal generated by basis, already known to be its reduced Groebner basis.
 
     basis must be the reduced monic basis in ring's own order, sorted
-    descending, exactly as reduce_gb returns it; generators default to it.
-    The publication rule in the module docstring says which bases qualify: a
-    closed form, the degrevlex elimination contraction, J + I's shared basis,
-    or reduce_gb of a Groebner basis in ring's own order. A Groebner basis in
-    another order (the lex ring's elimination contractions, which are
-    degrevlex) must never be published this way.
+    descending, exactly as reduce_gb returns it. The publication rule in the
+    module docstring says which bases qualify: a closed form, or a reduced
+    Groebner basis in ring's own order. A Groebner basis in another order (the
+    lex ring's elimination contractions, which are degrevlex) must never be
+    published this way.
     """
-    ideal = Ideal(ring, basis if generators is None else generators)
+    ideal = Ideal(ring, basis)
     ideal._gb = tuple(basis)
     return ideal
 

@@ -11,8 +11,8 @@ The ideals J + I^k, k = 0..delta+1, are built once from that chain
 (_power_ideals). The filtration table reads their lengths (_filtration_table),
 and verify_main_equivalence compares its colon ladder with the same Ideal
 objects, so each of them computes its Groebner basis once. J + (1) is the
-known unit ideal, and J + I shares the basis that the chain walk, which
-_power_ideals runs itself, computes for its unit check.
+known unit ideal, and J + I is the ideal that the chain walk builds and
+computes the basis of for its unit check.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionError, UsageError
-from .groebner import Ideal, _known_basis
+from .groebner import Ideal
 from .ideal_ops import QuotientRing, _dedup_nonzero, ideal_sum, make_quotient, unit_ideal
 
 KIND_GRADED = "graded"
@@ -130,16 +130,16 @@ def nilpotency_index(A: QuotientRing, I: Ideal) -> int:
 def _power_ideals(A: QuotientRing, I: Ideal):
     """[J + I^k for k = 0..delta+1] from one walk of I's power chain: (1) first, J last.
 
-    J + I keeps the generators J + chain[0]; the equivalence's colon series
-    steps by chain[0], the ones nonzero in A. It takes its reduced basis from
-    the same ideal that the chain walk returns with its basis computed.
+    J + I is the ideal that the chain walk returns, its basis already
+    computed. When I is zero in A the chain is empty and the list is [(1), J]:
+    J + I is J itself, and delta is 0.
     """
     chain, total = _power_chain(A, I)
     J, ring = A.defining, A.ring
-    sums = [ideal_sum(J, Ideal(ring, tuple(gens))) for gens in chain]
-    if sums:
-        sums[0] = _known_basis(ring, total.groebner_basis(), sums[0].generators)
-    return [unit_ideal(ring)] + sums + [J]
+    if not chain:
+        return [unit_ideal(ring), J]
+    sums = [ideal_sum(J, Ideal(ring, tuple(gens))) for gens in chain[1:]]
+    return [unit_ideal(ring), total] + sums + [J]
 
 
 def _filtration_table(A: QuotientRing, powers) -> HilbertTable:

@@ -52,6 +52,7 @@ from .hilbert import HilbertTable, _filtration_table, _power_ideals, graded_hilb
 from .ideal_ops import (
     QuotientRing,
     _colon_series,
+    _dedup_nonzero,
     colon_powers,
     irrelevant_power,
     make_quotient,
@@ -200,10 +201,10 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
     delta = len(powers) - 2
     J, step = A.defining, powers[1]
     m = irrelevant_power(A.ring, 1)
+    gens = _dedup_nonzero(A.reduce(g) for g in step.groebner_basis())  # chain[0]
     if delta and ideal_equal(step, m):
-        series = _colon_series(B, m.generators, delta - 1)  # rung 1 is the socle at hand
+        series = _colon_series(B, gens, delta - 1)  # rung 1 is the socle at hand
     else:
-        gens = [g for g in step.generators if not A.reduce(g).is_zero]  # chain[0]
         series = _colon_series(A, gens, delta)[1:]
     lhs = [J] + [Q.defining for Q in series]  # J : I^i
     rungs = _ladder_rungs(lhs, lambda i: powers[delta + 1 - i])

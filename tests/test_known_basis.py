@@ -2,11 +2,11 @@
 
 Some ideal operations publish their result's reduced basis instead of leaving
 it to Buchberger: the closed-form right-hand sides I + m^k of the ladders,
-irrelevant_power and unit_ideal, ideal_intersect under degrevlex, the
-unpermuted variable colon and the exact-division colon (in either order), and
-the power ideal J + I of the equivalence. Each published basis must equal
-conftest's reference, reduce_gb(buchberger(...)) of generators spelled out
-here, over CORPUS and hypothesis-generated homogeneous ideals (complete
+irrelevant_power and unit_ideal, ideal_intersect under degrevlex, and the
+unpermuted variable colon and the exact-division colon (in either order). Each
+published basis, and the bases of the equivalence's first two power ideals
+(1) and J + I, must equal conftest's reference, reduce_gb(buchberger(...)) of
+generators spelled out here, over CORPUS and hypothesis-generated homogeneous ideals (complete
 intersections and not), over F2, F32003 and Q, under degrevlex and lex. Under lex the elimination
 contraction is a degrevlex basis, so ideal_intersect must still return the lex
 reduced basis there.

@@ -11,6 +11,7 @@ import pytest
 
 import colonlab.hilbert
 from colonlab import (
+    Ideal,
     build_model,
     filtration_hilbert,
     irrelevant_power,
@@ -86,6 +87,10 @@ def test_equivalence_walks_one_power_chain(chain_calls, name):
     assert len(chain_calls) == 1
     verify_main_equivalence(A, irrelevant_power(J.ring, 2))
     assert len(chain_calls) == 2
+    ring = J.ring  # I as the CLI builds it: parsed generators, no basis published
+    first, last = ring.variables[0], ring.variables[-1]
+    verify_main_equivalence(A, Ideal(ring, (ring.parse(first), ring.parse(f"{last}^2"))))
+    assert len(chain_calls) == 3
 
 
 @pytest.mark.parametrize("name", ["ci_x3_y4", "ci_x2_y2_z2", "mixed_ci"])

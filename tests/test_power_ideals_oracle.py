@@ -6,8 +6,9 @@ reference is the oracle, which shares no code with it: in M = build_model(A),
 J + I^k spans oracle_power(M, V, k), V the image of I, and filtration_hilbert
 equals oracle_filtration_hilbert. The inputs are CORPUS in both orders and
 random Artinian ideals over F2, F32003 and Q, by pure powers and a random
-form, with random forms as I's generators; an I that is the unit ideal in A,
-or not nilpotent there, must fail as the oracle does.
+form, with random forms as I's generators; an I that is zero in A gives
+[(1), J]. An I that is the unit ideal in A, or not nilpotent there, must fail
+as the oracle does.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ def test_corpus_powers_match_the_oracle(case, order):
     sets = generator_sets(J)
     for name in ("variables", "m^2", "x,y^2", "form", "zero in A"):
         assert check_powers_against_oracle(J, sets[name]), name
+    # I zero in A (an empty chain: delta 0), and J's element with a repeated form.
+    form = sets["form"][0]
+    for gens in ([], [J.generators[0]], [J.generators[0], form, form]):
+        assert check_powers_against_oracle(J, gens), gens
     assert not check_powers_against_oracle(J, sets["constant term"])  # the unit ideal
 
 

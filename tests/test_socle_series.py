@@ -12,9 +12,9 @@ The Gorenstein ladders of verify_corollary and verify_main_equivalence(A, m)
 walk this series: their reports equal those of the colon_powers ladder, and
 they take no colon, no intersection and no quotient beyond R/J. With
 J + I != m the equivalence walks J's colon series by the generators of I's
-power chain instead: for CORPUS in both orders, with I = m^2, (x, y^2) and
-random forms, its reports equal those of colon_powers too, and it takes no
-colon.
+power chain instead: for CORPUS in both orders, with I = m^2, (x, y^2),
+random forms and ideals that are zero in A, its reports equal those of
+colon_powers too, and it takes no colon.
 """
 
 from __future__ import annotations
@@ -159,7 +159,11 @@ def test_equivalence_reports_match_the_colon_ladder(field, gens, monkeypatch):
 
 
 def inner_ideals(J, rng):
-    """Ideals I inside m other than m: m^2, (x, y^2) and random forms of degrees 1 and 2."""
+    """Ideals I inside m other than m: m^2, (x, y^2), random forms of degrees 1 and 2.
+
+    Then three that walk an empty chain or repeat generators: (0), one generator
+    of J, and a generator of J with a random form twice.
+    """
     ring = J.ring
     first, last = ring.variable(0), ring.variable(ring.nvars - 1)
     monomials = monomials_of_degree(ring, 1) + monomials_of_degree(ring, 2)
@@ -170,7 +174,14 @@ def inner_ideals(J, rng):
         )
         if not form.is_zero:
             forms.append(form)
-    return [irrelevant_power(ring, 2), Ideal(ring, (first, last * last)), Ideal(ring, tuple(forms))]
+    return [
+        irrelevant_power(ring, 2),
+        Ideal(ring, (first, last * last)),
+        Ideal(ring, tuple(forms)),
+        Ideal(ring, ()),
+        Ideal(ring, (J.generators[0],)),
+        Ideal(ring, (J.generators[0], forms[0], forms[0])),
+    ]
 
 
 def equivalence_outcome(A, I):
