@@ -16,10 +16,11 @@ with _known_basis instead of leaving it to Buchberger. The publication rule: a
 published basis is one of
 - a closed form: unit_ideal, irrelevant_power, or the ladders' I + m^k;
 - a reduced Groebner basis in the ring's own order: reduce_gb of a Groebner
-  basis in that order (the unpermuted variable colon, the exact-division colon
-  and the colon quotient, the socle quotient among them), or the degrevlex
-  elimination contraction (a lex intersection must not publish it: it is a
-  degrevlex basis).
+  basis in that order (the unpermuted variable colon, the exact-division colon,
+  the colon quotient, the socle quotient among them, and the power series'
+  rungs J + K^k, reduce_gb of J's basis and the rows of minimal pivot), or the
+  degrevlex elimination contraction (a lex intersection must not publish it:
+  it is a degrevlex basis).
 """
 
 from __future__ import annotations

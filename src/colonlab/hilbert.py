@@ -1,18 +1,21 @@
 """Hilbert functions of Artinian quotients and I-adic filtrations.
 
-Lengths are always standard-monomial counts against a reduced Groebner basis;
-no generating-function arithmetic. Powers of an ideal inside the quotient are
-tracked through normal-form-reduced generator sets, which leaves the image
-ideals unchanged. The chain starts from the reduced basis of J + I taken mod J,
-so the first step holds no redundant generators, and each later step forms
-every product of base elements sorted by index once (_power_chain).
+Lengths are always standard-monomial counts; no generating-function
+arithmetic. The ideals J + I^k, k = 0..delta+1, and their lengths are built
+once per table (_power_ideals), from one walk of ideal_ops._power_series over
+the images of I's generators in A: each rung R/(J + I^k) is an echelon of
+I^k's image on A's staircase, with its reduced basis published and its length
+ell(A) - dim, so no Buchberger, no power chain and no make_quotient runs for
+them. The filtration table reads those lengths (_filtration_table), and
+verify_main_equivalence compares its colon ladder with the same Ideal
+objects. J + (1) is the known unit ideal and J + I^(delta+1) is J.
 
-The ideals J + I^k, k = 0..delta+1, are built once from that chain
-(_power_ideals). The filtration table reads their lengths (_filtration_table),
-and verify_main_equivalence compares its colon ladder with the same Ideal
-objects, so each of them computes its Groebner basis once. J + (1) is the
-known unit ideal, and J + I is the ideal that the chain walk builds and
-computes the basis of for its unit check.
+The polynomial power chain stays as the tests' reference: powers of an ideal
+inside the quotient tracked through normal-form-reduced generator sets,
+starting from the reduced basis of J + I taken mod J, so the first step holds
+no redundant generators, and each later step forms every product of base
+elements sorted by index once (_power_chain). image_power_chain and
+nilpotency_index read it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionError, UsageError
 from .groebner import Ideal
-from .ideal_ops import QuotientRing, _dedup_nonzero, ideal_sum, make_quotient, unit_ideal
+from .ideal_ops import (
+    QuotientRing,
+    _dedup_nonzero,
+    _power_series,
+    ideal_sum,
+    make_quotient,
+    unit_ideal,
+)
 
 KIND_GRADED = "graded"
 KIND_FILTRATION = "filtration"
@@ -76,11 +86,11 @@ def image_power_chain(A: QuotientRing, I: Ideal):
     generators: a redundant generating set would multiply into ever more
     distinct products at each step.
     """
-    return _power_chain(A, I)[0]
+    return _power_chain(A, I)
 
 
 def _power_chain(A: QuotientRing, I: Ideal):
-    """(image_power_chain(A, I), J + I), the ideal J + I with its basis computed.
+    """image_power_chain(A, I), walked by sorted products.
 
     The base is gens(I^1), and step k + 1 holds the normal forms of the
     products of k + 1 base elements. Each element of a step is kept with the
@@ -115,38 +125,43 @@ def _power_chain(A: QuotientRing, I: Ideal):
                     if j < kept[1]:
                         step[f.terms] = (kept[0], j)
         current = step
-    return chain, total
+    return chain
 
 
 def nilpotency_index(A: QuotientRing, I: Ideal) -> int:
     """The largest i with I^i nonzero in A (0 when the image of I is zero).
 
-    The verifiers read delta off _power_chain themselves; the tests use this
-    as the reference delta for ladder lengths and the corollary's delta.
+    The verifiers read delta off their power ideals themselves; the tests use
+    this as the reference delta for ladder lengths and the corollary's delta.
     """
     return len(image_power_chain(A, I))
 
 
-def _power_ideals(A: QuotientRing, I: Ideal):
-    """[J + I^k for k = 0..delta+1] from one walk of I's power chain: (1) first, J last.
+class _Powers(list):
+    """[J + I^k for k = 0..delta+1], with lengths[k] = ell(R/(J + I^k))."""
 
-    J + I is the ideal that the chain walk returns, its basis already
-    computed. When I is zero in A the chain is empty and the list is [(1), J]:
-    J + I is J itself, and delta is 0.
+    __slots__ = ("lengths",)
+
+
+def _power_ideals(A: QuotientRing, I: Ideal) -> _Powers:
+    """[J + I^k for k = 0..delta+1] from one _power_series walk: (1) first, J last.
+
+    Rung k of the series is R/(J + I^k) with its reduced basis published, and
+    its length rides along. When I is zero in A the series is empty and the
+    list is [(1), J]: J + I is J itself, and delta is 0.
     """
-    chain, total = _power_chain(A, I)
-    J, ring = A.defining, A.ring
-    if not chain:
-        return [unit_ideal(ring), J]
-    sums = [ideal_sum(J, Ideal(ring, tuple(gens))) for gens in chain[1:]]
-    return [unit_ideal(ring), total] + sums + [J]
+    if I.ring != A.ring:
+        raise UsageError("ideal and quotient live in different rings")
+    series = _power_series(A, _dedup_nonzero(A.reduce(f) for f in I.generators))
+    powers = _Powers([unit_ideal(A.ring)] + [Q.defining for Q in series] + [A.defining])
+    powers.lengths = [0] + [Q.length for Q in series] + [A.length]
+    return powers
 
 
-def _filtration_table(A: QuotientRing, powers) -> HilbertTable:
-    """H(I, i) = ell(R/(J + I^(i+1))) - ell(R/(J + I^i)) over _power_ideals' list."""
-    # The two ends are known: ell(R/(1)) = 0 and ell(R/J) = ell(A).
-    lengths = [0] + [length_of_quotient(P) for P in powers[1:-1]] + [A.length]
-    delta = len(powers) - 2
+def _filtration_table(A: QuotientRing, powers: _Powers) -> HilbertTable:
+    """H(I, i) = ell(R/(J + I^(i+1))) - ell(R/(J + I^i)) over _power_ideals' lengths."""
+    lengths = powers.lengths
+    delta = len(lengths) - 2
     values = tuple(lengths[i + 1] - lengths[i] for i in range(delta + 1))
     if sum(values) != A.length:
         raise InternalError("filtration table does not sum to the quotient length")

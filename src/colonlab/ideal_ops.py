@@ -37,11 +37,19 @@ is a colon in R/(S : K^i), so _colon_series walks those rungs as colon
 quotients, each handing its staircase on, and the Gorenstein ladders of
 theorems take it. colon and colon_powers stay on the paths above, for the CLI,
 the complete-intersection ladder and ideals that are not Artinian.
+
+Sums with powers are read off the staircase too: _power_series(A, gens) walks
+the images V_k of K^k in A as echelons, V_(k+1) from the products of V_k's
+rows with the generators, and publishes R/(J + K^k) from J's basis and the
+rows of minimal pivot, with no Buchberger and no power chain; hilbert's
+power ideals, and so every filtration table and equivalence, read it. Both
+kernels take the images NF_J(b k) of standard monomials b from one helper,
+_multiplier; neither shares code with the oracle.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 
 from .errors import InternalError, PreconditionError, UsageError
 from .groebner import Ideal, _divisor, _known_basis, reduce_gb
@@ -83,8 +91,8 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     """IJ from all products of generators.
 
-    The verifiers build powers through hilbert's power chain; tests use this as
-    the reference product, as in (I : J) J <= I and the filtration lengths.
+    The verifiers read powers off _power_series; tests use this as the
+    reference product, as in (I : J) J <= I and the filtration lengths.
     """
     _require_same_ring(I, J)
     gens = [f * g for f in I.generators for g in J.generators]
@@ -358,23 +366,69 @@ def _add_multiple(v: dict, c, w: dict, p) -> dict:
     return v
 
 
+def _multiplier(A: QuotientRing, standard, gens):
+    """image(b, l, out, tag) adds NF_J(b k_l) into the dict out, b a standard monomial key.
+
+    standard is the set of A's standard monomial keys and k_l the l-th of the
+    given generators. The term s of the image goes into column s, or (s, tag)
+    when a tag is given. A term of b k_l is either a standard monomial, written
+    straight into an empty column, or a monomial outside the staircase, whose
+    normal form is computed once per multiplier; when k_l is not linear that
+    monomial may lie past the border. Several terms can land on one column, so
+    their coefficients accumulate. colon_quotient and _power_series share it.
+    """
+    ring, J = A.ring, A.defining
+    if any(f.ring != ring for f in gens):
+        raise UsageError("generators and quotient live in different rings")
+    p, one = ring.field.p, ring.field.one
+    # Each generator's terms, a coefficient of one kept as None so it multiplies nothing.
+    factors = [[(t, None if c == one else c) for t, c in f.terms] for f in gens]
+    outside = {}  # NF_J of each monomial met outside the staircase, by its key
+
+    def image(b, l, out, tag=None):
+        for t, c in factors[l]:
+            k = tuple(map(add, b, t))
+            if k in standard:
+                column = k if tag is None else (k, tag)
+                if column not in out:
+                    out[column] = one if c is None else c
+                    continue
+                reduced = ((k, one),)
+            else:
+                reduced = outside.get(k)
+                if reduced is None:
+                    reduced = outside[k] = J.reduce(Polynomial(ring, ((k, one),))).terms
+            for s, x in reduced:
+                if c is not None:
+                    x = c * x % p if p else c * x
+                column = s if tag is None else (s, tag)
+                y = out.get(column)
+                if y is None:
+                    out[column] = x
+                    continue
+                y = (y + x) % p if p else y + x
+                if y:
+                    out[column] = y
+                else:
+                    del out[column]
+        return out
+
+    return image
+
+
 def colon_quotient(A: QuotientRing, gens) -> QuotientRing:
     """R/S for S = J : (gens), A = R/J Artinian, from A alone.
 
     S/J is the kernel W of b -> (NF_J(b k_1), ..., NF_J(b k_r)) on A's
-    standard monomials, k_l the given generators, so S = J + (lifts of W). A
-    term of b k_l is either a standard monomial, written straight into an
-    empty column, or a monomial outside the staircase, whose normal form is
-    computed once; when k_l is not linear that monomial may lie past the
-    border. Several terms can land on one column of the image, so their
-    coefficients accumulate. The standard monomials b are walked ascending.
-    Each image is reduced, greatest column first, against the triangular
-    images kept so far, carrying the combination of standard monomials it
-    stands for. An image that vanishes leaves a row of W with pivot b. Its
-    other monomials are below b and come from kept combinations, which hold
-    only monomials whose images were kept, never a pivot; so the rows are
-    W's reduced row echelon basis over the standard monomials taken
-    descending.
+    standard monomials, k_l the given generators, so S = J + (lifts of W); the
+    images come from _multiplier, in column (s, l) for the term s of NF_J(b k_l).
+    The standard monomials b are walked ascending. Each image is reduced,
+    greatest column first, against the triangular images kept so far, carrying
+    the combination of standard monomials it stands for. An image that
+    vanishes leaves a row of W with pivot b. Its other monomials are below b
+    and come from kept combinations, which hold only monomials whose images
+    were kept, never a pivot; so the rows are W's reduced row echelon basis
+    over the standard monomials taken descending.
 
     Then in(S) = in(J) ∪ pivots(W): the monomials outside both number
     length(A) - dim W = length(R/S). So J's reduced basis and W's rows are a
@@ -385,44 +439,16 @@ def colon_quotient(A: QuotientRing, gens) -> QuotientRing:
     no generators at all give the unit ideal.
     """
     ring, J = A.ring, A.defining
-    if any(f.ring != ring for f in gens):
-        raise UsageError("generators and quotient live in different rings")
     p, one = ring.field.p, ring.field.one
     exps = ring.order.exps
     staircase = [ring.order.key(e) for e in A.standard_monomials]
-    standard = set(staircase)
-    # Each generator's terms, a coefficient of one kept as None so it multiplies nothing.
-    factors = [[(t, None if c == one else c) for t, c in f.terms] for f in gens]
-    outside = {}  # NF_J of each monomial met outside the staircase, by its key
+    image_of = _multiplier(A, set(staircase), gens)
     images = {}  # greatest column -> (image, combination), scaled so the image is 1 there
     kernel = {}  # pivot -> row of W
     for b in staircase:
         image = {}
-        for l, terms in enumerate(factors):
-            for t, c in terms:
-                k = tuple(map(add, b, t))
-                if k in standard:
-                    if (k, l) not in image:
-                        image[k, l] = one if c is None else c
-                        continue
-                    reduced = ((k, one),)
-                else:
-                    reduced = outside.get(k)
-                    if reduced is None:
-                        reduced = outside[k] = J.reduce(Polynomial(ring, ((k, one),))).terms
-                for s, x in reduced:
-                    if c is not None:
-                        x = c * x % p if p else c * x
-                    column = (s, l)
-                    y = image.get(column)
-                    if y is None:
-                        image[column] = x
-                        continue
-                    y = (y + x) % p if p else y + x
-                    if y:
-                        image[column] = y
-                    else:
-                        del image[column]
+        for l in range(len(gens)):
+            image_of(b, l, image, l)
         combination = {b: one}
         while image:
             top = max(image)
@@ -470,3 +496,121 @@ def _colon_series(B: QuotientRing, gens, top: int):
     for _ in range(top):
         rungs.append(colon_quotient(rungs[-1], gens))
     return rungs
+
+
+def _power_series(A: QuotientRing, gens):
+    """[R/(J + K^k) for k = 1..d], A = R/J Artinian, K = (gens), K^(d+1) zero in A.
+
+    V_k, the image of K^k in A, is spanned by NF_J(b k^a) over A's standard
+    monomials b and the exponent vectors a of weight k over the generators,
+    the signatures (a, b). They are walked in increasing order, a first
+    (compared from its last entry), then b in the ring's order, and each
+    product is reduced against the rows of smaller signature. A signature is
+    independent when something is left, which becomes a row scaled to 1 at its
+    pivot, the greatest monomial it holds. If (a, b) is dependent, so are
+    (a + e_l, b) and (a, x_i b): multiplying its relation by k_l or x_i gives
+    one among smaller signatures, since a normal form holds no term above its
+    monomial. So step k + 1 multiplies the row of each independent (a, b) of
+    step k by the k_l with l at least a's last nonzero entry, one product per
+    signature whose parent is independent, and skips (a', b) when some
+    (a' - e_m, b) was dependent or some (a', b / x_i) is. The products read
+    the images NF_J(b k_l) of _multiplier, kept per (b, l), into new dicts, so
+    elimination never touches a kept image. Step 0 is A, each standard
+    monomial its own row.
+
+    Then in(J + K^k) = in(J) ∪ pivots(V_k), as for colon_quotient, so J's
+    reduced basis and the rows are a Groebner basis of J + K^k, and so are J's
+    basis and the rows whose pivot is minimal: the pivots lie in A's staircase
+    and form an upper set there, so a pivot with no pivot p / x_i is a minimal
+    generator and every other pivot is a multiple of one. Those rows are
+    reduced against the others first, so their tails hold no pivot, and
+    reduce_gb of them and J's basis is the rung's published basis (groebner's
+    publication rule). Each rung hands on A's staircase without the pivots, of
+    length ell(A) - dim V_k. No Buchberger, no make_quotient and no polynomial
+    product runs, and at most two row sets are alive. K generating the unit
+    ideal of A (A itself the zero ring included) is a UsageError; V_(k+1) =
+    V_k != 0 means K is not nilpotent in A, a PreconditionError.
+    """
+    ring, J = A.ring, A.defining
+    p, one, inv = ring.field.p, ring.field.one, ring.field.inv
+    key, r, n = ring.order.key, len(gens), ring.nvars
+    staircase = [key(e) for e in A.standard_monomials]
+    standard = set(staircase)
+    image_of = _multiplier(A, standard, gens)
+    images = {}  # (b, l) -> NF_J(b k_l)
+    units = [key(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    weights = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    below = {b: frozenset(tuple(map(sub, b, u)) for u in units) & standard for b in staircase}
+
+    def product(row, l):
+        out = {}
+        for b, c in row.items():
+            image = images.get((b, l))
+            if image is None:
+                image = images[b, l] = image_of(b, l, {})
+            if c == one and not out:
+                out.update(image)
+            else:
+                _add_multiple(out, c, image, p)
+        return out
+
+    # a -> {b: row} over the independent signatures of the step, b ascending.
+    # Step 0 is A itself, each standard monomial its own row of signature (0, b).
+    signed = {(0,) * r: {b: {b: one} for b in staircase}}
+    series = []
+    while True:
+        echelon, independent = {}, {}
+        steps = {}  # a' -> (l, parent a), l = a's last nonzero entry
+        for a in signed:
+            last = max((m for m in range(r) if a[m]), default=0)
+            for l in range(last, r):
+                steps[tuple(map(add, a, weights[l]))] = (l, a)
+        for a in sorted(steps, key=lambda a: a[::-1]):
+            l, parent = steps[a]
+            others = [
+                signed.get(tuple(map(sub, a, weights[m]))) for m in range(r) if m != l and a[m]
+            ]
+            if None in others:
+                continue
+            mine = {}
+            for b, row in signed[parent].items():
+                if not mine.keys() >= below[b] or others and not all(b in o for o in others):
+                    continue
+                v = product(row, l)
+                while v:
+                    top = max(v)
+                    kept = echelon.get(top)
+                    if kept is None:
+                        if v[top] != one:
+                            v = _add_multiple({}, inv(v[top]), v, p)
+                        echelon[top] = mine[b] = v
+                        break
+                    _add_multiple(v, -v[top], kept, p)
+            if mine:
+                independent[a] = mine
+        if not series and len(echelon) == len(staircase):
+            raise UsageError("ideal is the unit ideal in the quotient; a proper ideal is required")
+        if not echelon:
+            return series
+        if series and len(echelon) == sum(map(len, signed.values())):
+            raise PreconditionError("ideal is not nilpotent in the quotient (not m-primary)")
+        minimal = []
+        for top, row in echelon.items():
+            if echelon.keys().isdisjoint(below[top]):
+                row = dict(row)
+                del row[top]
+                tail = [s for s in row if s in echelon]
+                while tail:
+                    s = max(tail)
+                    _add_multiple(row, -row[s], echelon[s], p)
+                    tail = [s for s in row if s in echelon]
+                row[top] = one
+                minimal.append(Polynomial(ring, tuple(sorted(row.items(), reverse=True))))
+        series.append(
+            QuotientRing(
+                ring,
+                _known_basis(ring, reduce_gb(list(J.groebner_basis()) + minimal)),
+                tuple(e for b, e in zip(staircase, A.standard_monomials) if b not in echelon),
+            )
+        )
+        signed = independent

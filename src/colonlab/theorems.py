@@ -16,11 +16,11 @@ series (ideal_ops._colon_series): each rung is the colon quotient of the rung
 below by the step's generators, and it hands its staircase on, so they take no
 colon and build no quotient. A step by m starts from the socle quotient that
 the Gorenstein check has computed, which is rung 1. Any other step J + I
-colons by the first ideal of I's power chain, the images in A of J + I's
-basis. Only the complete-intersection ladder still walks colon_powers:
-switching it measured faster, but the benchmark reads its peak-memory metric
-after per-instance statistics, which grow with throughput, and that reading
-went 53% past the parent's, beyond its bound.
+colons by the images in A of J + I's reduced basis that are nonzero there.
+Only the complete-intersection ladder still walks colon_powers: switching it
+measured faster, but the benchmark reads its peak-memory metric after
+per-instance statistics, which grow with throughput, and that reading went
+53% past the parent's, beyond its bound.
 
 The right-hand sides I + m^k of the complete-intersection ladder and the
 corollary have a closed-form reduced basis, since I is homogeneous: I's basis
@@ -31,12 +31,14 @@ check_delta_identity after verify_macaulay_ladder on the same generators
 builds it once.
 
 The Gorenstein-quotient ladder and its filtration table share one list of
-power ideals J + I^k (hilbert._power_ideals), built from one power chain: the
-step is J + I, the right-hand side of rung i is J + I^(delta+1-i), and the
-table reads the lengths of the same Ideal objects, so no basis is computed
-twice. The corollary reads delta off its graded table: J is homogeneous, so A
-is standard graded, m^i is the sum of the pieces of degree >= i, and the
-largest i with m^i != 0 is the top degree.
+power ideals J + I^k (hilbert._power_ideals), read off one power series of A
+(ideal_ops._power_series): the step is J + I, the right-hand side of rung i is
+J + I^(delta+1-i), and the table reads the lengths that the series hands on
+with them. Every basis on both sides is published by a kernel on A's
+staircase, so once A is built the equivalence runs no Buchberger, no power
+chain and no make_quotient. The corollary reads delta off its graded table:
+J is homogeneous, so A is standard graded, m^i is the sum of the pieces of
+degree >= i, and the largest i with m^i != 0 is the top degree.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
     delta = len(powers) - 2
     J, step = A.defining, powers[1]
     m = irrelevant_power(A.ring, 1)
-    gens = _dedup_nonzero(A.reduce(g) for g in step.groebner_basis())  # chain[0]
+    gens = _dedup_nonzero(A.reduce(g) for g in step.groebner_basis())
     if delta and ideal_equal(step, m):
         series = _colon_series(B, gens, delta - 1)  # rung 1 is the socle at hand
     else:

@@ -60,7 +60,7 @@ def generator_sets(J):
         "x,y^2": [first, last * last],
         "form": [first + last + first * last],
         "constant term": [ring.one + first, last],
-        "zero in A": [J.generators[0] * (first + ring.one), first * last],
+        "zero in A": [J.generators[0] * (first + ring.one), J.generators[-1] * last],
     }
 
 

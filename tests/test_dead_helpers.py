@@ -34,6 +34,7 @@ PUBLIC_REFERENCES = {
     "subspace_intersect": "the oracle tests' reference intersection of subspaces",
     "ideal_membership": "the reference containment check",
     "nilpotency_index": "the reference delta for ladder lengths",
+    "length_of_quotient": "the independent reference length for filtration tables",
     "rows": "a dense view of Subspace, pinned by tests/test_oracle_views.py",
     "coords": "a dense view of VectorSpaceModel, pinned by tests/test_oracle_views.py",
     "apply": "a dense view of VectorSpaceModel, pinned by tests/test_oracle_views.py",

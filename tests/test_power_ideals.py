@@ -1,7 +1,7 @@
 """One list of power ideals J + I^k per verdict.
 
 The Gorenstein-quotient ladder and its filtration table are read off one power
-chain, and the corollary takes delta from its graded table; both must agree
+series, and the corollary takes delta from its graded table; both must agree
 with the standalone functions and with the oracle.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import colonlab.groebner
 import colonlab.hilbert
 from colonlab import (
     Ideal,
@@ -64,9 +65,8 @@ def test_corollary_delta_is_the_nilpotency_index_of_m(entry):
 def chain_calls(monkeypatch):
     """Counts power-chain walks.
 
-    Every walk runs hilbert._power_chain, and image_power_chain and
-    _power_ideals call it through the module attribute, so the verifiers'
-    walks and public calls are counted too.
+    Every walk runs hilbert._power_chain, and image_power_chain calls it
+    through the module attribute, so public calls are counted too.
     """
     calls = []
     original = colonlab.hilbert._power_chain
@@ -79,18 +79,44 @@ def chain_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """counted(module, name) replaces module.name with a wrapper and returns its list of calls."""
+
+    def count(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return count
+
+
 @pytest.mark.parametrize("name", ["ci_x3_y4", "ci_x2_y2_z2", "storch"])
-def test_equivalence_walks_one_power_chain(chain_calls, name):
+def test_equivalence_walks_one_power_series(counted, chain_calls, name):
     J = _ideal(next(e for e in CORPUS if e[0] == name))
     A = make_quotient(J)
-    verify_main_equivalence(A, irrelevant_power(J.ring, 1))
-    assert len(chain_calls) == 1
-    verify_main_equivalence(A, irrelevant_power(J.ring, 2))
-    assert len(chain_calls) == 2
-    ring = J.ring  # I as the CLI builds it: parsed generators, no basis published
+    # hilbert._power_ideals calls _power_series by that name, and every
+    # groebner_basis without a published basis runs groebner.buchberger.
+    series_calls = counted(colonlab.hilbert, "_power_series")
+    buchberger_calls = counted(colonlab.groebner, "buchberger")
+    ring = J.ring  # the last I as the CLI builds it: parsed generators, no basis published
     first, last = ring.variables[0], ring.variables[-1]
-    verify_main_equivalence(A, Ideal(ring, (ring.parse(first), ring.parse(f"{last}^2"))))
-    assert len(chain_calls) == 3
+    ideals = [
+        irrelevant_power(ring, 1),
+        irrelevant_power(ring, 2),
+        Ideal(ring, (ring.parse(first), ring.parse(f"{last}^2"))),
+    ]
+    for walks, I in enumerate(ideals, 1):
+        verify_main_equivalence(A, I)
+        assert len(series_calls) == walks
+    assert buchberger_calls == []
+    assert chain_calls == []
 
 
 @pytest.mark.parametrize("name", ["ci_x3_y4", "ci_x2_y2_z2", "mixed_ci"])

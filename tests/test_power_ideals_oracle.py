@@ -72,7 +72,7 @@ def test_corpus_powers_match_the_oracle(case, order):
     sets = generator_sets(J)
     for name in ("variables", "m^2", "x,y^2", "form", "zero in A"):
         assert check_powers_against_oracle(J, sets[name]), name
-    # I zero in A (an empty chain: delta 0), and J's element with a repeated form.
+    # I zero in A (an empty series: delta 0), and J's element with a repeated form.
     form = sets["form"][0]
     for gens in ([], [J.generators[0]], [J.generators[0], form, form]):
         assert check_powers_against_oracle(J, gens), gens
