@@ -16,11 +16,16 @@ with _known_basis instead of leaving it to Buchberger. The publication rule: a
 published basis is one of
 - a closed form: unit_ideal, irrelevant_power, or the ladders' I + m^k;
 - a reduced Groebner basis in the ring's own order: reduce_gb of a Groebner
-  basis in that order (the unpermuted variable colon, the exact-division colon,
-  the colon quotient, the socle quotient among them, and the power series'
-  rungs J + K^k, reduce_gb of J's basis and the rows of minimal pivot), or the
-  degrevlex elimination contraction (a lex intersection must not publish it:
-  it is a degrevlex basis).
+  basis in that order (the unpermuted variable colon and the exact-division
+  colon), the degrevlex elimination contraction (a lex intersection must not
+  publish it: it is a degrevlex basis), or a rung assembled from an echelon
+  on a quotient's staircase (ideal_ops._published: the colon walk's rungs,
+  the socle quotient among them, and the power series' rungs J + K^k). A
+  rung's basis is the rows of minimal pivot and the elements of the base's
+  basis that no pivot divides, their tails reduced; no reduce_gb runs for it.
+So on the verifiers' Gorenstein paths reduce_gb serves only Buchberger's
+output, the basis of J; the elimination colons of the CLI and of the
+complete-intersection ladder still call it.
 """
 
 from __future__ import annotations
@@ -288,7 +293,8 @@ def _known_basis(ring: Ring, basis) -> Ideal:
     basis must be the reduced monic basis in ring's own order, sorted
     descending, exactly as reduce_gb returns it. The publication rule in the
     module docstring says which bases qualify: a closed form, or a reduced
-    Groebner basis in ring's own order. A Groebner basis in another order (the
+    Groebner basis in ring's own order, from reduce_gb or assembled from an
+    echelon. A Groebner basis in another order (the
     lex ring's elimination contractions, which are degrevlex) must never be
     published this way.
     """

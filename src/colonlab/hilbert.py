@@ -4,11 +4,12 @@ Lengths are always standard-monomial counts; no generating-function
 arithmetic. The ideals J + I^k, k = 0..delta+1, and their lengths are built
 once per table (_power_ideals), from one walk of ideal_ops._power_series over
 the images of I's generators in A: each rung R/(J + I^k) is an echelon of
-I^k's image on A's staircase, with its reduced basis published and its length
-ell(A) - dim, so no Buchberger, no power chain and no make_quotient runs for
-them. The filtration table reads those lengths (_filtration_table), and
-verify_main_equivalence compares its colon ladder with the same Ideal
-objects. J + (1) is the known unit ideal and J + I^(delta+1) is J.
+I^k's image on A's staircase, with its reduced basis assembled from the
+echelon and published, and its length ell(A) - dim, so no Buchberger, no
+reduce_gb, no power chain and no make_quotient runs for them. The filtration
+table reads those lengths (_filtration_table), and verify_main_equivalence
+compares its colon ladder with the same Ideal objects. J + (1) is the known
+unit ideal and J + I^(delta+1) is J.
 
 The polynomial power chain stays as the tests' reference: powers of an ideal
 inside the quotient tracked through normal-form-reduced generator sets,

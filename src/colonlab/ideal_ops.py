@@ -24,27 +24,38 @@ Results whose reduced basis is already at hand publish it through
 groebner's _known_basis, under the publication rule in groebner's docstring;
 a lex intersection is left to Buchberger.
 
-Colons in an Artinian quotient A = R/J are not taken that way.
-colon_quotient(A, gens) reads R/(J : (gens)) off A's staircase: the colon
-modulo J is the kernel of multiplication by the generators on A's standard
-monomials, and its rows in reduced echelon form, with J's basis, are a
-Groebner basis of the colon, so reduce_gb of them is its published basis. The
-kernel's pivots are the monomials that leave the staircase, so the colon's
-standard monomials are A's minus those pivots. The socle J : m is the colon by
-the variables (socle_quotient), and the socle dimension is the difference of
-the two lengths. Nor is a colon by a power taken: S : K^(i+1) = (S : K^i) : K
-is a colon in R/(S : K^i), so _colon_series walks those rungs as colon
-quotients, each handing its staircase on, and the Gorenstein ladders of
-theorems take it. colon and colon_powers stay on the paths above, for the CLI,
-the complete-intersection ladder and ideals that are not Artinian.
+Colons in an Artinian quotient A = R/J are not taken that way. Every rung of
+a ladder on A is an ideal J ⊆ S ⊆ R, fixed by the subspace S/J of A, so the
+rungs are read off A's staircase as linear algebra (Marinari, Möller and
+Mora, AAECC 4, 1993; Faugère, Gianni, Lazard and Mora, JSC 16, 1993). A rung
+R/(S + W), W spanned by an echelon over R/S's staircase, is published by one
+helper, _published: in(S + W) = in(S) ∪ pivots(W), so the reduced basis is
+assembled from the rows of minimal pivot and the elements of S's basis that
+no pivot divides, their tails reduced, with no reduce_gb; and the rung's
+standard monomials are R/S's minus the pivots.
+
+The colon by a power is a walk: S : K^(i+1) = (S : K^i) : K, and (S : K^i)
+modulo S : K^(i-1) is the kernel of multiplication by the generators on the
+standard monomials of the rung below (_ColonWalk). One walk on A holds one
+table of the images NF_J(b k_l), computed once per standard monomial b and
+generator k_l and kept reduced against the rungs as they grow, and it
+computes the order keys of A's staircase once. _colon_series(B, gens, top)
+steps a walk top times; colon_quotient(A, gens), R/(J : (gens)), is the
+first rung, and the socle J : m is the colon by the variables
+(socle_quotient), with the socle dimension the difference of the two lengths.
+Each rung keeps its walk, so a series asked of the latest rung by the same
+generators continues it: the Gorenstein ladders of theorems continue the
+m-walk whose rung 1 is the Gorenstein check's socle. colon and colon_powers
+stay on the paths above, for the CLI, the complete-intersection ladder and
+ideals that are not Artinian.
 
 Sums with powers are read off the staircase too: _power_series(A, gens) walks
 the images V_k of K^k in A as echelons, V_(k+1) from the products of V_k's
-rows with the generators, and publishes R/(J + K^k) from J's basis and the
-rows of minimal pivot, with no Buchberger and no power chain; hilbert's
-power ideals, and so every filtration table and equivalence, read it. Both
-kernels take the images NF_J(b k) of standard monomials b from one helper,
-_multiplier; neither shares code with the oracle.
+rows with the generators, and publishes R/(J + K^k) through _published, with
+no Buchberger and no power chain; hilbert's power ideals, and so every
+filtration table and equivalence, read it. Both kernels take the images
+NF_J(b k) of standard monomials b from one helper, _multiplier, built once
+per walk; neither shares code with the oracle.
 """
 
 from __future__ import annotations
@@ -291,14 +302,17 @@ class QuotientRing:
 
     standard_monomials lists the exponent tuples outside the leading-term
     staircase of J, ascending in the ring order (so index 0 is the monomial 1).
+    A rung of a colon walk keeps the walk (_walk), so a series asked of it by
+    the same generators continues that walk.
     """
 
-    __slots__ = ("ring", "defining", "standard_monomials")
+    __slots__ = ("ring", "defining", "standard_monomials", "_walk")
 
     def __init__(self, ring: Ring, defining: Ideal, standard_monomials):
         self.ring = ring
         self.defining = defining
         self.standard_monomials = standard_monomials
+        self._walk = None
 
     @property
     def length(self) -> int:
@@ -375,7 +389,8 @@ def _multiplier(A: QuotientRing, standard, gens):
     straight into an empty column, or a monomial outside the staircase, whose
     normal form is computed once per multiplier; when k_l is not linear that
     monomial may lie past the border. Several terms can land on one column, so
-    their coefficients accumulate. colon_quotient and _power_series share it.
+    their coefficients accumulate. The colon walk and _power_series share it,
+    one per walk.
     """
     ring, J = A.ring, A.defining
     if any(f.ring != ring for f in gens):
@@ -416,63 +431,169 @@ def _multiplier(A: QuotientRing, standard, gens):
     return image
 
 
-def colon_quotient(A: QuotientRing, gens) -> QuotientRing:
-    """R/S for S = J : (gens), A = R/J Artinian, from A alone.
+def _unit_keys(ring: Ring):
+    """The order keys of the variables x_1, ..., x_n; key(e) - key(x_i) is key(e / x_i)."""
+    n = ring.nvars
+    return [ring.order.key(tuple(int(i == j) for j in range(n))) for i in range(n)]
 
-    S/J is the kernel W of b -> (NF_J(b k_1), ..., NF_J(b k_r)) on A's
-    standard monomials, k_l the given generators, so S = J + (lifts of W); the
-    images come from _multiplier, in column (s, l) for the term s of NF_J(b k_l).
-    The standard monomials b are walked ascending. Each image is reduced,
-    greatest column first, against the triangular images kept so far, carrying
-    the combination of standard monomials it stands for. An image that
-    vanishes leaves a row of W with pivot b. Its other monomials are below b
-    and come from kept combinations, which hold only monomials whose images
-    were kept, never a pivot; so the rows are W's reduced row echelon basis
-    over the standard monomials taken descending.
 
-    Then in(S) = in(J) ∪ pivots(W): the monomials outside both number
-    length(A) - dim W = length(R/S). So J's reduced basis and W's rows are a
-    Groebner basis of S in the ring's own order, and reduce_gb of them is S's
-    published basis (groebner's publication rule). R/S's standard monomials
-    are A's without W's pivots, still ascending. No colon and no
-    make_quotient runs. A generator that is zero in A contributes nothing, and
-    no generators at all give the unit ideal.
+def _published(S: Ideal, echelon, units) -> Ideal:
+    """S + W with its reduced basis published, W spanned by an echelon over R/S's staircase.
+
+    echelon maps each pivot to its row {monomial key: coefficient}, which is 1
+    at the pivot, its greatest monomial. in(S + W) = in(S) ∪ pivots, and the
+    pivots form an upper set in R/S's staircase, so a minimal generator of
+    in(S + W) is either a pivot p with no pivot p / x_i, a minimal pivot, or
+    the leading monomial of an element of S's reduced basis whose lower
+    neighbours e / x_i, all standard, are no pivots (when a pivot divides e,
+    one of them is a pivot). The reduced basis holds one element per minimal
+    generator, the generator minus its normal form, so it is assembled from
+    - the rows of minimal pivot, their tails reduced against the other rows;
+    - S's basis elements whose leading monomial no pivot divides, their tails
+      reduced against the rows;
+    all sorted descending. A tail is reduced greatest pivot first, and a row
+    holds nothing above its pivot, so each pivot leaves for good. units are
+    the variables' order keys (_unit_keys). This is the reduced basis that
+    reduce_gb of S's basis and the rows would give, which is unique.
     """
-    ring, J = A.ring, A.defining
-    p, one = ring.field.p, ring.field.one
-    exps = ring.order.exps
-    staircase = [ring.order.key(e) for e in A.standard_monomials]
-    image_of = _multiplier(A, set(staircase), gens)
-    images = {}  # greatest column -> (image, combination), scaled so the image is 1 there
-    kernel = {}  # pivot -> row of W
-    for b in staircase:
-        image = {}
-        for l in range(len(gens)):
-            image_of(b, l, image, l)
-        combination = {b: one}
-        while image:
-            top = max(image)
-            kept = images.get(top)
-            if kept is None:
-                if image[top] != one:
-                    scale = ring.field.inv(image[top])
-                    image = _add_multiple({}, scale, image, p)
-                    combination = _add_multiple({}, scale, combination, p)
-                images[top] = (image, combination)
-                break
-            c = -image[top]
-            _add_multiple(image, c, kept[0], p)
-            _add_multiple(combination, c, kept[1], p)
-        else:
-            kernel[b] = combination
-    rows = [Polynomial(ring, tuple(sorted(row.items(), reverse=True))) for row in kernel.values()]
-    basis = reduce_gb(list(J.groebner_basis()) + rows)
-    pivots = {exps(b) for b in kernel}
-    return QuotientRing(
-        ring,
-        _known_basis(ring, basis),
-        tuple(e for e in A.standard_monomials if e not in pivots),
-    )
+    ring = S.ring
+    p = ring.field.p
+
+    def reduced(terms, lead):
+        tail = [s for s in terms if s in echelon and s != lead]
+        while tail:
+            s = max(tail)
+            _add_multiple(terms, -terms[s], echelon[s], p)
+            tail = [s for s in terms if s in echelon and s != lead]
+        return Polynomial(ring, tuple(sorted(terms.items(), reverse=True)))
+
+    def below_a_pivot(lead):
+        return any(tuple(map(sub, lead, u)) in echelon for u in units)
+
+    basis = [reduced(dict(row), top) for top, row in echelon.items() if not below_a_pivot(top)]
+    for g in S.groebner_basis():
+        lead = g.leading_key
+        if below_a_pivot(lead):
+            continue
+        if any(s in echelon for s, _ in g.terms):
+            g = reduced(dict(g.terms), lead)
+        basis.append(g)
+    basis.sort(key=lambda g: g.leading_key, reverse=True)
+    return _known_basis(ring, basis)
+
+
+class _ColonWalk:
+    """The colon series of A = R/J by K = (gens), one rung per step, on A's staircase.
+
+    Rung i + 1 is R/S_(i+1), S_(i+1) = S_i : K with S_0 = J. S_(i+1)/S_i is
+    the kernel of b -> (NF_(S_i)(b k_1), ..., NF_(S_i)(b k_r)) on S_i's
+    standard monomials b, k_l the generators. NF_(S_i)(b k_l) is NF_J(b k_l)
+    reduced against the rows of S_i/J: the walk takes NF_J(b k_l) from one
+    _multiplier once per (b, l) and keeps it reduced, substituting the rows
+    of each new kernel into it by dict at the next step. Those rows are in
+    reduced echelon form and their tails hold standard monomials of the new
+    rung only, so one substitution per pivot suffices, and a row without a
+    tail just drops its column. No rung reduces by its ideal's basis.
+
+    A step walks the rung's standard monomials b ascending. Each image, in
+    column (s, l) for the term s of NF(b k_l), is reduced, greatest column
+    first, against the triangular images kept so far, carrying the
+    combination of standard monomials it stands for. An image that vanishes
+    leaves a kernel row with pivot b. Its other monomials are below b and
+    come from kept combinations, which hold only monomials whose images were
+    kept, never a pivot; so the rows are the kernel's reduced row echelon
+    basis over the standard monomials taken descending. The rung's basis is
+    assembled from the rung below's and the rows (_published), and its
+    staircase is the one below without the pivots. The order keys of A's
+    staircase are computed once per walk; no colon, make_quotient, reduce_gb
+    or Buchberger runs.
+
+    The walk holds the latest rung's staircase and basis, its kernel and the
+    reduced images, and each rung keeps the walk, so _colon_series continues
+    it from its latest rung.
+    """
+
+    __slots__ = ("gens", "units", "image_of", "images", "defining", "standard", "monomials",
+                 "kernel")
+
+    def __init__(self, A: QuotientRing, gens: tuple):
+        ring = A.ring
+        self.gens = gens
+        self.units = _unit_keys(ring)
+        self.standard = [ring.order.key(e) for e in A.standard_monomials]
+        self.image_of = _multiplier(A, set(self.standard), gens)
+        self.images = {}  # b -> its image, NF_(S_i)(b k_l) in column (s, l), b in S_i's staircase
+        self.defining, self.monomials = A.defining, A.standard_monomials
+        self.kernel = {}  # pivot -> row of the latest rung's kernel
+
+    def step(self) -> QuotientRing:
+        """The next rung R/(S : K), S the latest rung's ideal; it becomes the latest."""
+        ring = self.defining.ring
+        p, one = ring.field.p, ring.field.one
+        images, image_of, rows = self.images, self.image_of, self.kernel
+        r = len(self.gens)
+        kept = {}  # greatest column -> (image, combination), scaled so the image is 1 there
+        kernel = {}  # pivot -> row of (S : K)/S
+        for b in self.standard:
+            v = images.get(b)
+            if v is None:  # the first step: NF_J(b k_l), nothing to substitute
+                v = images[b] = {}
+                for l in range(r):
+                    image_of(b, l, v, l)
+            else:
+                for column in [column for column in v if column[0] in rows]:
+                    s, l = column
+                    c = v.pop(column)
+                    for t, x in rows[s].items():
+                        if t != s:
+                            y = v.get((t, l), 0) - c * x
+                            if p:
+                                y %= p
+                            if y:
+                                v[t, l] = y
+                            else:
+                                del v[t, l]
+            image = dict(v)
+            combination = {b: one}
+            while image:
+                top = max(image)
+                row = kept.get(top)
+                if row is None:
+                    if image[top] != one:
+                        scale = ring.field.inv(image[top])
+                        image = _add_multiple({}, scale, image, p)
+                        combination = _add_multiple({}, scale, combination, p)
+                    kept[top] = (image, combination)
+                    break
+                c = -image[top]
+                _add_multiple(image, c, row[0], p)
+                _add_multiple(combination, c, row[1], p)
+            else:
+                kernel[b] = combination
+        for b in kernel:
+            del images[b]
+        self.kernel = kernel
+        self.defining = _published(self.defining, kernel, self.units)
+        self.monomials = tuple(e for b, e in zip(self.standard, self.monomials) if b not in kernel)
+        self.standard = [b for b in self.standard if b not in kernel]
+        rung = QuotientRing(ring, self.defining, self.monomials)
+        rung._walk = self
+        return rung
+
+
+def colon_quotient(A: QuotientRing, gens) -> QuotientRing:
+    """R/S for S = J : (gens), A = R/J Artinian, from A alone: rung 1 of A's colon walk.
+
+    S/J is the kernel of multiplication by the generators on A's standard
+    monomials (_ColonWalk), and in(S) = in(J) ∪ its pivots: the monomials
+    outside both number length(A) - dim(S/J) = length(R/S). So S's reduced
+    basis is assembled from J's and the kernel's rows (_published; groebner's
+    publication rule), and R/S's standard monomials are A's without the
+    pivots, still ascending. No colon and no make_quotient runs. A generator
+    that is zero in A contributes nothing, and no generators at all give the
+    unit ideal.
+    """
+    return _colon_series(A, gens, 1)[1]
 
 
 def socle_quotient(A: QuotientRing) -> QuotientRing:
@@ -480,7 +601,8 @@ def socle_quotient(A: QuotientRing) -> QuotientRing:
 
     The socle dimension dim_k (J : m)/J is A.length - socle_quotient(A).length,
     and A is Gorenstein exactly when it is 1. The zero ring's socle is (1), of
-    dimension 0.
+    dimension 0. The result is rung 1 of the walk by the variables, so the
+    series by m asked of it continues that walk.
     """
     return colon_quotient(A, irrelevant_power(A.ring, 1).generators)
 
@@ -488,14 +610,15 @@ def socle_quotient(A: QuotientRing) -> QuotientRing:
 def _colon_series(B: QuotientRing, gens, top: int):
     """[R/S, R/(S : K), ..., R/(S : K^top)] for B = R/S Artinian, K = (gens), with no colon.
 
-    S : K^i = (S : K^(i-1)) : K, so each rung is colon_quotient of the rung
-    below by the same generators: it publishes its reduced basis and hands its
-    staircase on, so no rung runs Buchberger or make_quotient.
+    S : K^i = (S : K^(i-1)) : K, so rung i is one step of the colon walk
+    (_ColonWalk). When B is the latest rung of a walk by the same generators,
+    the series continues that walk and its images; otherwise a walk starts on
+    B. Every rung publishes its reduced basis and hands its staircase on.
     """
-    rungs = [B]
-    for _ in range(top):
-        rungs.append(colon_quotient(rungs[-1], gens))
-    return rungs
+    gens, walk = tuple(gens), B._walk
+    if walk is None or walk.defining is not B.defining or walk.gens != gens:
+        walk = _ColonWalk(B, gens)
+    return [B] + [walk.step() for _ in range(top)]
 
 
 def _power_series(A: QuotientRing, gens):
@@ -518,27 +641,25 @@ def _power_series(A: QuotientRing, gens):
     elimination never touches a kept image. Step 0 is A, each standard
     monomial its own row.
 
-    Then in(J + K^k) = in(J) ∪ pivots(V_k), as for colon_quotient, so J's
-    reduced basis and the rows are a Groebner basis of J + K^k, and so are J's
-    basis and the rows whose pivot is minimal: the pivots lie in A's staircase
-    and form an upper set there, so a pivot with no pivot p / x_i is a minimal
-    generator and every other pivot is a multiple of one. Those rows are
-    reduced against the others first, so their tails hold no pivot, and
-    reduce_gb of them and J's basis is the rung's published basis (groebner's
-    publication rule). Each rung hands on A's staircase without the pivots, of
-    length ell(A) - dim V_k. No Buchberger, no make_quotient and no polynomial
-    product runs, and at most two row sets are alive. K generating the unit
-    ideal of A (A itself the zero ring included) is a UsageError; V_(k+1) =
-    V_k != 0 means K is not nilpotent in A, a PreconditionError.
+    Then in(J + K^k) = in(J) ∪ pivots(V_k), as for colon_quotient, so the
+    rung's reduced basis is assembled from J's and V_k's echelon (_published:
+    the rows of minimal pivot and the elements of J's basis that no pivot
+    divides, their tails reduced against the rows), with no reduce_gb
+    (groebner's publication rule). Each rung hands on A's staircase without
+    the pivots, of length ell(A) - dim V_k. No Buchberger, no make_quotient
+    and no polynomial product runs, and at most two row sets are alive. K
+    generating the unit ideal of A (A itself the zero ring included) is a
+    UsageError; V_(k+1) = V_k != 0 means K is not nilpotent in A, a
+    PreconditionError.
     """
     ring, J = A.ring, A.defining
     p, one, inv = ring.field.p, ring.field.one, ring.field.inv
-    key, r, n = ring.order.key, len(gens), ring.nvars
-    staircase = [key(e) for e in A.standard_monomials]
+    r = len(gens)
+    staircase = [ring.order.key(e) for e in A.standard_monomials]
     standard = set(staircase)
     image_of = _multiplier(A, standard, gens)
     images = {}  # (b, l) -> NF_J(b k_l)
-    units = [key(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    units = _unit_keys(ring)
     weights = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     below = {b: frozenset(tuple(map(sub, b, u)) for u in units) & standard for b in staircase}
 
@@ -594,22 +715,10 @@ def _power_series(A: QuotientRing, gens):
             return series
         if series and len(echelon) == sum(map(len, signed.values())):
             raise PreconditionError("ideal is not nilpotent in the quotient (not m-primary)")
-        minimal = []
-        for top, row in echelon.items():
-            if echelon.keys().isdisjoint(below[top]):
-                row = dict(row)
-                del row[top]
-                tail = [s for s in row if s in echelon]
-                while tail:
-                    s = max(tail)
-                    _add_multiple(row, -row[s], echelon[s], p)
-                    tail = [s for s in row if s in echelon]
-                row[top] = one
-                minimal.append(Polynomial(ring, tuple(sorted(row.items(), reverse=True))))
         series.append(
             QuotientRing(
                 ring,
-                _known_basis(ring, reduce_gb(list(J.groebner_basis()) + minimal)),
+                _published(J, echelon, units),
                 tuple(e for b, e in zip(staircase, A.standard_monomials) if b not in echelon),
             )
         )

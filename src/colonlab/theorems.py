@@ -12,15 +12,17 @@ the corollary step by m; the Gorenstein-quotient ladder steps by J + I, since
 J : (J + I^i) = J : I^i. The Gorenstein check computes the socle quotient
 R/(J : m) (ideal_ops.socle_quotient) and reads the socle dimension off the
 two lengths. The corollary and the Gorenstein-quotient ladder walk a colon
-series (ideal_ops._colon_series): each rung is the colon quotient of the rung
-below by the step's generators, and it hands its staircase on, so they take no
-colon and build no quotient. A step by m starts from the socle quotient that
-the Gorenstein check has computed, which is rung 1. Any other step J + I
-colons by the images in A of J + I's reduced basis that are nonzero there.
-Only the complete-intersection ladder still walks colon_powers: switching it
-measured faster, but the benchmark reads its peak-memory metric after
-per-instance statistics, which grow with throughput, and that reading went
-53% past the parent's, beyond its bound.
+series (ideal_ops._colon_series): each rung is the kernel of multiplication
+by the step's generators on the staircase of the rung below, read off one
+table of images on A's staircase, and it hands its staircase on, so they take
+no colon, build no quotient and run no reduce_gb. The socle that the
+Gorenstein check has computed is rung 1 of the walk by m, and a step by m
+continues that walk from it rather than starting a second one. Any other step
+J + I walks A by the images in A of J + I's reduced basis that are nonzero
+there. Only the complete-intersection ladder still walks colon_powers:
+switching it measured faster, but the benchmark reads its peak-memory metric
+after per-instance statistics, which grow with throughput, and that reading
+went 53% past the parent's, beyond its bound.
 
 The right-hand sides I + m^k of the complete-intersection ladder and the
 corollary have a closed-form reduced basis, since I is homogeneous: I's basis
@@ -34,11 +36,12 @@ The Gorenstein-quotient ladder and its filtration table share one list of
 power ideals J + I^k (hilbert._power_ideals), read off one power series of A
 (ideal_ops._power_series): the step is J + I, the right-hand side of rung i is
 J + I^(delta+1-i), and the table reads the lengths that the series hands on
-with them. Every basis on both sides is published by a kernel on A's
-staircase, so once A is built the equivalence runs no Buchberger, no power
-chain and no make_quotient. The corollary reads delta off its graded table:
-J is homogeneous, so A is standard graded, m^i is the sum of the pieces of
-degree >= i, and the largest i with m^i != 0 is the top degree.
+with them. Every basis on both sides is assembled from an echelon on A's
+staircase, so once A is built the equivalence runs no Buchberger, no
+reduce_gb, no power chain and no make_quotient. The corollary reads delta off
+its graded table: J is homogeneous, so A is standard graded, m^i is the sum
+of the pieces of degree >= i, and the largest i with m^i != 0 is the top
+degree.
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
     m = irrelevant_power(A.ring, 1)
     gens = _dedup_nonzero(A.reduce(g) for g in step.groebner_basis())
     if delta and ideal_equal(step, m):
-        series = _colon_series(B, gens, delta - 1)  # rung 1 is the socle at hand
+        series = _colon_series(B, gens, delta - 1)  # continues the walk whose rung 1 is B
     else:
         series = _colon_series(A, gens, delta)[1:]
     lhs = [J] + [Q.defining for Q in series]  # J : I^i
@@ -222,9 +225,9 @@ def verify_corollary(J: Ideal) -> LadderReport:
     """Check 0 : m^i = m^(delta+1-i) for i = 0..delta in a graded Gorenstein quotient.
 
     Rung 1 is the socle J : m of the socle quotient that the Gorenstein check
-    has already computed, and each rung above it is the socle quotient of the
-    rung below. delta is the top degree of the graded table (see the module
-    docstring).
+    has already computed, and the rungs above it continue that walk by m, each
+    the socle of the rung below. delta is the top degree of the graded table
+    (see the module docstring).
     """
     A, table, B = _graded_gorenstein(J)
     delta = table.delta

@@ -97,29 +97,60 @@ def counted(monkeypatch):
     return count
 
 
+def count_kernel_work(counted):
+    """Spies on the work that should not run once A is built, and on the image tables.
+
+    hilbert._power_ideals calls _power_series by that name; every
+    groebner_basis without a published basis runs groebner.buchberger and
+    then groebner.reduce_gb, which the elimination colons of ideal_ops call
+    by their own name; and each colon walk and power series builds one image
+    table, ideal_ops._multiplier.
+    """
+    return {
+        "series": counted(colonlab.hilbert, "_power_series"),
+        "buchberger": counted(colonlab.groebner, "buchberger"),
+        "reduce_gb": counted(colonlab.groebner, "reduce_gb"),
+        "ideal_ops.reduce_gb": counted(colonlab.ideal_ops, "reduce_gb"),
+        "multiplier": counted(colonlab.ideal_ops, "_multiplier"),
+    }
+
+
 @pytest.mark.parametrize("name", ["ci_x3_y4", "ci_x2_y2_z2", "storch"])
 def test_equivalence_walks_one_power_series(counted, chain_calls, name):
+    """One power series and one image table per walk: the m-walk, the series, an I-walk.
+
+    With I = m the ladder continues the m-walk whose rung 1 is the Gorenstein
+    check's socle, so it builds two tables; any other I walks J's colon series
+    by I as well, so it builds three.
+    """
     J = _ideal(next(e for e in CORPUS if e[0] == name))
     A = make_quotient(J)
-    # hilbert._power_ideals calls _power_series by that name, and every
-    # groebner_basis without a published basis runs groebner.buchberger.
-    series_calls = counted(colonlab.hilbert, "_power_series")
-    buchberger_calls = counted(colonlab.groebner, "buchberger")
+    work = count_kernel_work(counted)
     ring = J.ring  # the last I as the CLI builds it: parsed generators, no basis published
     first, last = ring.variables[0], ring.variables[-1]
     ideals = [
-        irrelevant_power(ring, 1),
-        irrelevant_power(ring, 2),
-        Ideal(ring, (ring.parse(first), ring.parse(f"{last}^2"))),
+        (irrelevant_power(ring, 1), 2),
+        (irrelevant_power(ring, 2), 3),
+        (Ideal(ring, (ring.parse(first), ring.parse(f"{last}^2"))), 3),
     ]
-    for walks, I in enumerate(ideals, 1):
+    for walks, (I, tables) in enumerate(ideals, 1):
+        work["multiplier"].clear()
         verify_main_equivalence(A, I)
-        assert len(series_calls) == walks
-    assert buchberger_calls == []
+        assert len(work["series"]) == walks
+        assert len(work["multiplier"]) == tables
+    assert work["buchberger"] == work["reduce_gb"] == work["ideal_ops.reduce_gb"] == []
     assert chain_calls == []
 
 
 @pytest.mark.parametrize("name", ["ci_x3_y4", "ci_x2_y2_z2", "mixed_ci"])
-def test_corollary_walks_no_power_chain(chain_calls, name):
-    verify_corollary(_ideal(next(e for e in CORPUS if e[0] == name)))
+def test_corollary_walks_no_power_chain(counted, chain_calls, name):
+    """Nor a second walk: the ladder continues the Gorenstein check's m-walk, one image table."""
+    J = _ideal(next(e for e in CORPUS if e[0] == name))
+    J.groebner_basis()  # A's basis; verify_corollary builds A from it
+    work = count_kernel_work(counted)
+    report = verify_corollary(J)
+    assert report.holds and report.delta >= 2  # the walk goes past the socle
     assert chain_calls == []
+    assert len(work["multiplier"]) == 1
+    assert work["buchberger"] == work["reduce_gb"] == work["ideal_ops.reduce_gb"] == []
+    assert work["series"] == []
