@@ -153,7 +153,7 @@ def _power_ideals(A: QuotientRing, I: Ideal) -> _Powers:
     """
     if I.ring != A.ring:
         raise UsageError("ideal and quotient live in different rings")
-    series = _power_series(A, _dedup_nonzero(A.reduce(f) for f in I.generators))
+    series = _power_series(A, I.generators)
     powers = _Powers([unit_ideal(A.ring)] + [Q.defining for Q in series] + [A.defining])
     powers.lengths = [0] + [Q.length for Q in series] + [A.length]
     return powers

@@ -36,26 +36,22 @@ standard monomials are R/S's minus the pivots.
 
 The colon by a power is a walk: S : K^(i+1) = (S : K^i) : K, and (S : K^i)
 modulo S : K^(i-1) is the kernel of multiplication by the generators on the
-standard monomials of the rung below (_ColonWalk). One walk on A holds one
-table of the images NF_J(b k_l), computed once per standard monomial b and
-generator k_l and kept reduced against the rungs as they grow, and it
-computes the order keys of A's staircase once. _colon_series(B, gens, top)
-steps a walk top times; colon_quotient(A, gens), R/(J : (gens)), is the
-first rung, and the socle J : m is the colon by the variables
-(socle_quotient), with the socle dimension the difference of the two lengths.
-Each rung keeps its walk, so a series asked of the latest rung by the same
-generators continues it: the Gorenstein ladders of theorems continue the
-m-walk whose rung 1 is the Gorenstein check's socle. colon and colon_powers
-stay on the paths above, for the CLI, the complete-intersection ladder and
-ideals that are not Artinian.
+standard monomials of the rung below (_ColonWalk). _colon_series(A, gens,
+top) walks A by the images of gens in A, with one table of the images
+NF_J(b k_l) kept reduced against the rungs as they grow, and the order keys
+of A's staircase computed once. colon_quotient(A, gens), R/(J : (gens)), is
+the first rung, and the socle J : m is the colon by the variables
+(socle_quotient). A keeps its latest walk, so the Gorenstein ladders of
+theorems continue the m-walk whose rung 1 is the Gorenstein check's socle.
+colon and colon_powers stay on the paths above, for the CLI, the
+complete-intersection ladder and ideals that are not Artinian.
 
 Sums with powers are read off the staircase too: _power_series(A, gens) walks
-the images V_k of K^k in A as echelons, V_(k+1) from the products of V_k's
-rows with the generators, and publishes R/(J + K^k) through _published, with
-no Buchberger and no power chain; hilbert's power ideals, and so every
-filtration table and equivalence, read it. Both kernels take the images
-NF_J(b k) of standard monomials b from one helper, _multiplier, built once
-per walk; neither shares code with the oracle.
+the images V_k of K^k in A as echelons and publishes R/(J + K^k) through
+_published, with no Buchberger and no power chain; hilbert's power ideals
+read it. Both kernels take the images NF_J(b k) from one helper, _multiplier,
+one per walk, and A keeps the normal forms of the monomials outside its
+staircase that they meet; neither shares code with the oracle.
 """
 
 from __future__ import annotations
@@ -302,17 +298,19 @@ class QuotientRing:
 
     standard_monomials lists the exponent tuples outside the leading-term
     staircase of J, ascending in the ring order (so index 0 is the monomial 1).
-    A rung of a colon walk keeps the walk (_walk), so a series asked of it by
-    the same generators continues that walk.
+    The quotient keeps its latest colon walk (_walk; see _colon_series) and
+    the normal forms of the monomials outside the staircase that its kernels
+    have met (_outside, by key; see _multiplier).
     """
 
-    __slots__ = ("ring", "defining", "standard_monomials", "_walk")
+    __slots__ = ("ring", "defining", "standard_monomials", "_walk", "_outside")
 
     def __init__(self, ring: Ring, defining: Ideal, standard_monomials):
         self.ring = ring
         self.defining = defining
         self.standard_monomials = standard_monomials
         self._walk = None
+        self._outside = {}
 
     @property
     def length(self) -> int:
@@ -387,18 +385,15 @@ def _multiplier(A: QuotientRing, standard, gens):
     given generators. The term s of the image goes into column s, or (s, tag)
     when a tag is given. A term of b k_l is either a standard monomial, written
     straight into an empty column, or a monomial outside the staircase, whose
-    normal form is computed once per multiplier; when k_l is not linear that
-    monomial may lie past the border. Several terms can land on one column, so
-    their coefficients accumulate. The colon walk and _power_series share it,
-    one per walk.
+    normal form is computed once per quotient (A._outside); when k_l is not
+    linear that monomial may lie past the border. Several terms can land on
+    one column, so their coefficients accumulate. The colon walk and
+    _power_series share it, one per walk.
     """
-    ring, J = A.ring, A.defining
-    if any(f.ring != ring for f in gens):
-        raise UsageError("generators and quotient live in different rings")
+    ring, J, outside = A.ring, A.defining, A._outside
     p, one = ring.field.p, ring.field.one
     # Each generator's terms, a coefficient of one kept as None so it multiplies nothing.
     factors = [[(t, None if c == one else c) for t, c in f.terms] for f in gens]
-    outside = {}  # NF_J of each monomial met outside the staircase, by its key
 
     def image(b, l, out, tag=None):
         for t, c in factors[l]:
@@ -508,13 +503,11 @@ class _ColonWalk:
     staircase are computed once per walk; no colon, make_quotient, reduce_gb
     or Buchberger runs.
 
-    The walk holds the latest rung's staircase and basis, its kernel and the
-    reduced images, and each rung keeps the walk, so _colon_series continues
-    it from its latest rung.
+    The walk holds its rungs past A (A holds the walk, and a cycle would wait
+    for the cyclic collector), the latest keys and kernel, and the images.
     """
 
-    __slots__ = ("gens", "units", "image_of", "images", "defining", "standard", "monomials",
-                 "kernel")
+    __slots__ = ("gens", "units", "image_of", "images", "standard", "kernel", "rungs")
 
     def __init__(self, A: QuotientRing, gens: tuple):
         ring = A.ring
@@ -523,12 +516,12 @@ class _ColonWalk:
         self.standard = [ring.order.key(e) for e in A.standard_monomials]
         self.image_of = _multiplier(A, set(self.standard), gens)
         self.images = {}  # b -> its image, NF_(S_i)(b k_l) in column (s, l), b in S_i's staircase
-        self.defining, self.monomials = A.defining, A.standard_monomials
         self.kernel = {}  # pivot -> row of the latest rung's kernel
+        self.rungs = []
 
-    def step(self) -> QuotientRing:
-        """The next rung R/(S : K), S the latest rung's ideal; it becomes the latest."""
-        ring = self.defining.ring
+    def step(self, below: QuotientRing):
+        """Appends the next rung R/(S : K) to the rungs, below = R/S the latest rung."""
+        ring = below.ring
         p, one = ring.field.p, ring.field.one
         images, image_of, rows = self.images, self.image_of, self.kernel
         r = len(self.gens)
@@ -573,12 +566,13 @@ class _ColonWalk:
         for b in kernel:
             del images[b]
         self.kernel = kernel
-        self.defining = _published(self.defining, kernel, self.units)
-        self.monomials = tuple(e for b, e in zip(self.standard, self.monomials) if b not in kernel)
+        monomials = tuple(
+            e for b, e in zip(self.standard, below.standard_monomials) if b not in kernel
+        )
         self.standard = [b for b in self.standard if b not in kernel]
-        rung = QuotientRing(ring, self.defining, self.monomials)
-        rung._walk = self
-        return rung
+        self.rungs.append(
+            QuotientRing(ring, _published(below.defining, kernel, self.units), monomials)
+        )
 
 
 def colon_quotient(A: QuotientRing, gens) -> QuotientRing:
@@ -601,31 +595,36 @@ def socle_quotient(A: QuotientRing) -> QuotientRing:
 
     The socle dimension dim_k (J : m)/J is A.length - socle_quotient(A).length,
     and A is Gorenstein exactly when it is 1. The zero ring's socle is (1), of
-    dimension 0. The result is rung 1 of the walk by the variables, so the
-    series by m asked of it continues that walk.
+    dimension 0. The result is rung 1 of A's walk by the variables, so a
+    series of A by m continues that walk.
     """
     return colon_quotient(A, irrelevant_power(A.ring, 1).generators)
 
 
-def _colon_series(B: QuotientRing, gens, top: int):
-    """[R/S, R/(S : K), ..., R/(S : K^top)] for B = R/S Artinian, K = (gens), with no colon.
+def _colon_series(A: QuotientRing, gens, top: int):
+    """[R/J, R/(J : K), ..., R/(J : K^top)] for A = R/J Artinian, K = (gens), with no colon.
 
-    S : K^i = (S : K^(i-1)) : K, so rung i is one step of the colon walk
-    (_ColonWalk). When B is the latest rung of a walk by the same generators,
-    the series continues that walk and its images; otherwise a walk starts on
-    B. Every rung publishes its reduced basis and hands its staircase on.
+    Rung i is step i of A's colon walk (_ColonWalk) by the images of gens in
+    A, zeros and repeats dropped. A keeps its latest walk: the series
+    continues it when the images are the same, handing back the rungs built,
+    and starts a new one otherwise. Every rung publishes its reduced basis
+    and hands its staircase on.
     """
-    gens, walk = tuple(gens), B._walk
-    if walk is None or walk.defining is not B.defining or walk.gens != gens:
-        walk = _ColonWalk(B, gens)
-    return [B] + [walk.step() for _ in range(top)]
+    gens, walk = tuple(_dedup_nonzero(A.reduce(g) for g in gens)), A._walk
+    if walk is None or walk.gens != gens:
+        walk = A._walk = _ColonWalk(A, gens)
+    rungs = walk.rungs
+    while len(rungs) < top:
+        walk.step(rungs[-1] if rungs else A)
+    return [A] + rungs[:top]
 
 
 def _power_series(A: QuotientRing, gens):
     """[R/(J + K^k) for k = 1..d], A = R/J Artinian, K = (gens), K^(d+1) zero in A.
 
     V_k, the image of K^k in A, is spanned by NF_J(b k^a) over A's standard
-    monomials b and the exponent vectors a of weight k over the generators,
+    monomials b and the exponent vectors a of weight k over the generators'
+    images in A, zeros and repeats dropped,
     the signatures (a, b). They are walked in increasing order, a first
     (compared from its last entry), then b in the ring's order, and each
     product is reduced against the rows of smaller signature. A signature is
@@ -654,6 +653,7 @@ def _power_series(A: QuotientRing, gens):
     """
     ring, J = A.ring, A.defining
     p, one, inv = ring.field.p, ring.field.one, ring.field.inv
+    gens = _dedup_nonzero(A.reduce(g) for g in gens)
     r = len(gens)
     staircase = [ring.order.key(e) for e in A.standard_monomials]
     standard = set(staircase)

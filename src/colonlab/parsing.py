@@ -125,17 +125,14 @@ class _Parser:
         return poly
 
     def expr(self) -> Polynomial:
-        negate = False
-        if self.peek().kind in ("+", "-"):
-            negate = self.advance().kind == "-"
-        poly = self.term()
-        if negate:
-            poly = -poly
+        """A sum of signed terms, built once after its last term is read."""
+        negate = self.peek().kind in ("+", "-") and self.advance().kind == "-"
+        terms = [(negate, self.term())]
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            poly = poly - rhs if op == "-" else poly + rhs
-        return poly
+            terms.append((self.advance().kind == "-", self.term()))
+        if len(terms) == 1:
+            return -terms[0][1] if negate else terms[0][1]
+        return _signed_sum(self.ring, terms)
 
     def term(self) -> Polynomial:
         poly = self.primary()
@@ -199,6 +196,17 @@ class _Parser:
             ) from None
         exps = (0,) * self.ring.nvars
         return self.ring.monomial(exps, value)
+
+
+def _signed_sum(ring: Ring, terms) -> Polynomial:
+    """The sum of (negate, polynomial) pairs, each term added into one dict."""
+    p = ring.field.p
+    acc = {}
+    for negate, poly in terms:
+        for k, c in poly.terms:
+            acc[k] = acc.get(k, 0) + (-c if negate else c)
+    items = sorted(((k, c % p if p else c) for k, c in acc.items()), reverse=True)
+    return Polynomial(ring, tuple((k, c) for k, c in items if c))
 
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:

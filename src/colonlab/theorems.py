@@ -9,20 +9,16 @@ All three ladders walk their left-hand sides one rung at a time: lhs_0 is the
 base ideal and lhs_i = lhs_(i-1) : step, which equals the direct colon by the
 i-th power because (I : A) : B = I : AB. The complete-intersection ladder and
 the corollary step by m; the Gorenstein-quotient ladder steps by J + I, since
-J : (J + I^i) = J : I^i. The Gorenstein check computes the socle quotient
-R/(J : m) (ideal_ops.socle_quotient) and reads the socle dimension off the
-two lengths. The corollary and the Gorenstein-quotient ladder walk a colon
-series (ideal_ops._colon_series): each rung is the kernel of multiplication
-by the step's generators on the staircase of the rung below, read off one
-table of images on A's staircase, and it hands its staircase on, so they take
-no colon, build no quotient and run no reduce_gb. The socle that the
-Gorenstein check has computed is rung 1 of the walk by m, and a step by m
-continues that walk from it rather than starting a second one. Any other step
-J + I walks A by the images in A of J + I's reduced basis that are nonzero
-there. Only the complete-intersection ladder still walks colon_powers:
-switching it measured faster, but the benchmark reads its peak-memory metric
-after per-instance statistics, which grow with throughput, and that reading
-went 53% past the parent's, beyond its bound.
+J : (J + I^i) = J : I^i. Both Gorenstein ladders take their left side as
+ideal_ops._colon_series(A, gens, delta), by m's generators for the corollary
+and by J + I's reduced basis for the equivalence: each rung is a kernel on
+the staircase of the rung below, read off one table of images on A's, so
+they take no colon, build no quotient and run no reduce_gb. The Gorenstein
+check's socle quotient R/(J : m) (ideal_ops.socle_quotient) is rung 1 of A's
+walk by m, and A keeps that walk, so a series by generators with the same
+images in A, m's or those of J + I = m, continues it. Only the
+complete-intersection ladder still walks colon_powers: switching it measured
+faster, but past the benchmark's peak-memory bound.
 
 The right-hand sides I + m^k of the complete-intersection ladder and the
 corollary have a closed-form reduced basis, since I is homogeneous: I's basis
@@ -57,7 +53,6 @@ from .hilbert import HilbertTable, _filtration_table, _power_ideals, graded_hilb
 from .ideal_ops import (
     QuotientRing,
     _colon_series,
-    _dedup_nonzero,
     colon_powers,
     irrelevant_power,
     make_quotient,
@@ -119,19 +114,18 @@ def _complete_intersection(gens: tuple):
     return make_quotient(Ideal(ring, tuple(gens))), sum(degrees) - ring.nvars
 
 
-def _gorenstein_socle(A: QuotientRing) -> QuotientRing:
-    """R/(J : m) for A = R/J, which must be Gorenstein (socle dimension 1)."""
-    B = socle_quotient(A)
-    if A.length - B.length != 1:
+def _require_gorenstein(A: QuotientRing):
+    """Raises unless A = R/J is Gorenstein (socle dimension 1); A keeps the socle's walk by m."""
+    if A.length - socle_quotient(A).length != 1:
         raise PreconditionError("quotient is not Gorenstein (socle dimension is not 1)")
-    return B
 
 
 def _graded_gorenstein(J: Ideal):
-    """(R/J, graded table, R/(J : m)) of R/J, which must be graded Artinian Gorenstein."""
+    """(R/J, graded table) of R/J, which must be graded Artinian Gorenstein."""
     A = make_quotient(J)
     table = graded_hilbert(A)  # also enforces homogeneity
-    return A, table, _gorenstein_socle(A)
+    _require_gorenstein(A)
+    return A, table
 
 
 def _plus_irrelevant_power(I: Ideal, k: int) -> Ideal:
@@ -185,7 +179,7 @@ def verify_macaulay_ladder(gens) -> LadderReport:
 
 def verify_symmetry(J: Ideal):
     """Graded table of an Artinian Gorenstein graded quotient and its symmetry."""
-    _, table, _ = _graded_gorenstein(J)
+    _, table = _graded_gorenstein(J)
     return table, is_symmetric(table)
 
 
@@ -198,20 +192,14 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
     """
     if I.ring != A.ring:
         raise UsageError("ideal and quotient live in different rings")
-    B = _gorenstein_socle(A)
+    _require_gorenstein(A)
     try:
         powers = _power_ideals(A, I)  # powers[k] = J + I^k
     except UsageError as exc:  # I is the unit ideal in A
         raise PreconditionError(str(exc)) from None
     delta = len(powers) - 2
-    J, step = A.defining, powers[1]
-    m = irrelevant_power(A.ring, 1)
-    gens = _dedup_nonzero(A.reduce(g) for g in step.groebner_basis())
-    if delta and ideal_equal(step, m):
-        series = _colon_series(B, gens, delta - 1)  # continues the walk whose rung 1 is B
-    else:
-        series = _colon_series(A, gens, delta)[1:]
-    lhs = [J] + [Q.defining for Q in series]  # J : I^i
+    # J : I^i = J : (J + I)^i; with J + I = m this continues the socle's walk.
+    lhs = [Q.defining for Q in _colon_series(A, powers[1].groebner_basis(), delta)]
     rungs = _ladder_rungs(lhs, lambda i: powers[delta + 1 - i])
     ladder_holds = all(r.equal for r in rungs)
     table = _filtration_table(A, powers)
@@ -224,15 +212,14 @@ def verify_main_equivalence(A: QuotientRing, I: Ideal) -> EquivalenceReport:
 def verify_corollary(J: Ideal) -> LadderReport:
     """Check 0 : m^i = m^(delta+1-i) for i = 0..delta in a graded Gorenstein quotient.
 
-    Rung 1 is the socle J : m of the socle quotient that the Gorenstein check
-    has already computed, and the rungs above it continue that walk by m, each
-    the socle of the rung below. delta is the top degree of the graded table
-    (see the module docstring).
+    The left side is A's colon series by m: rung 1 is the socle J : m that
+    the Gorenstein check has computed, and the rungs above it continue that
+    walk, each the socle of the rung below. delta is the top degree of the
+    graded table (see the module docstring).
     """
-    A, table, B = _graded_gorenstein(J)
+    A, table = _graded_gorenstein(J)
     delta = table.delta
-    series = _colon_series(B, irrelevant_power(J.ring, 1).generators, delta - 1) if delta else []
-    lhs = [J] + [Q.defining for Q in series]
+    lhs = [Q.defining for Q in _colon_series(A, irrelevant_power(J.ring, 1).generators, delta)]
     rungs = _ladder_rungs(lhs, lambda i: _plus_irrelevant_power(J, delta + 1 - i))
     return LadderReport(delta, rungs, all(r.equal for r in rungs))
 

@@ -32,6 +32,7 @@ from colonlab import (
     UsageError,
     annihilator,
     build_model,
+    colon_powers,
     colon_quotient,
     irrelevant_power,
     make_quotient,
@@ -130,6 +131,42 @@ def test_named_colons():
     other = Ring(("x", "y"), F2)
     with pytest.raises(UsageError):
         colon_quotient(A, [other.parse("x")])
+
+
+# --- one walk per quotient ----------------------------------------------------
+
+
+def test_a_smaller_top_hands_back_the_built_rungs():
+    """A keeps its walk, so the rungs built are handed back, also for the same images."""
+    J = make_ideal(QQ, ("x", "y"), ("x^3", "y^4"))
+    A = make_quotient(J)
+    gens = generator_sets(J)["x,y^2"]
+    series = _colon_series(A, gens, 4)
+    again = _colon_series(A, gens, 2)
+    assert len(again) == 3 and all(a is b for a, b in zip(again, series))
+    # A zero in A and a repeat change no image, so the walk goes on.
+    longer = _colon_series(A, gens + [J.generators[0], gens[0]], 5)
+    assert all(a is b for a, b in zip(longer, series)) and len(longer) == 6
+
+
+@pytest.mark.parametrize(
+    "name", ["ci_x3_y4", "mixed_ci", "fat_point", "storch", "ci_x2_y2_z2"]
+)
+def test_another_generator_set_starts_a_new_walk(name):
+    """Alternating generator sets on one A: every series equals colon_powers, none is stale."""
+    _, field, variables, gens, _ = next(case for case in CORPUS if case[0] == name)
+    J = make_ideal(field, variables, gens)
+    A = make_quotient(J)
+    sets = generator_sets(J)
+    top = min(A.length, 4)
+    for step in ("variables", "m^2", "variables", "form", "m^2", "variables"):
+        series = _colon_series(A, sets[step], top)
+        ladder = colon_powers(J, Ideal(J.ring, tuple(sets[step])), top)
+        assert [Q.defining.groebner_basis() for Q in series] == [
+            K.groebner_basis() for K in ladder
+        ], (name, step)
+        if step == "variables":
+            assert socle_quotient(A) is series[1]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import colonlab.poly
 from colonlab import ParseError, QQ, Ring, UsageError
 from colonlab.poly import _decimal
 
@@ -153,6 +154,56 @@ def test_parse_print_round_trip(field):
     for _ in range(1000):
         f = random_poly(rng, ring)
         assert ring.parse(str(f)) == f
+
+
+def long_sum(rng, count):
+    """count signed terms over a few monomials, so most repeat and some cancel outright.
+
+    Returns the text and its (exponents, coefficient) pairs; denominators are
+    odd and below 11, so they are units in every field tested.
+    """
+    pool = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
+    texts, pairs = [], []
+    while len(pairs) < count:
+        e = rng.choice(pool)
+        c = Fraction(rng.randint(1, 9), rng.choice((1, 3, 5, 7, 9)))
+        monomial = "*".join(f"{v}^{k}" for v, k in zip("xyz", e))
+        signs = ["+", "-"] if rng.random() < 0.2 else [rng.choice("+-")]  # a cancelling pair
+        for sign in signs:
+            texts.append(f"{sign}{c.numerator}/{c.denominator}*{monomial}")
+            pairs.append((e, -c if sign == "-" else c))
+    return "".join(texts), pairs
+
+
+@pytest.mark.parametrize("field", [F2, F32003, QQ], ids=lambda f: f.name)
+def test_long_sums_parse_as_from_terms(field):
+    ring = Ring(("x", "y", "z"), field)
+    rng = random.Random(f"long-sum/{field.name}")
+    for count in (2, 3, 50, 2000):
+        text, pairs = long_sum(rng, count)
+        got, expected = ring.parse(text), ring.from_terms(pairs)
+        assert repr(got.terms) == repr(expected.terms)  # coefficient types too
+    assert ring.parse("x+y-x-y") == ring.zero
+    assert ring.parse("-(x-y)+(2*x-y)*(x+y)-x") == ring.from_terms(
+        [((2, 0, 0), 2), ((1, 1, 0), 1), ((0, 2, 0), -1), ((0, 1, 0), 1), ((1, 0, 0), -2)]
+    )
+
+
+def test_a_sum_is_built_once(monkeypatch):
+    """Parsing t terms merges no running sum, so it copies O(t) terms, not O(t^2)."""
+    ring = Ring(("x", "y", "z"), QQ)
+    exponents = [(a, b, c) for a in range(20) for b in range(10) for c in range(10)]
+    text = "-".join(f"x^{a}*y^{b}*z^{c}" for a, b, c in exponents)
+    copied = []
+    merge = colonlab.poly._merge
+
+    def counted(A, i, B, j, q, shift, p):
+        copied.append(len(A) - i + len(B) - j)
+        return merge(A, i, B, j, q, shift, p)
+
+    monkeypatch.setattr(colonlab.poly, "_merge", counted)
+    assert ring.parse(text).num_terms == len(exponents)
+    assert sum(copied) <= len(exponents)
 
 
 @pytest.mark.parametrize("field", [F2, F32003, QQ], ids=lambda f: f.name)

@@ -7,11 +7,14 @@ with the standalone functions and with the oracle.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import colonlab.groebner
 import colonlab.hilbert
 from colonlab import (
+    QQ,
     Ideal,
     build_model,
     filtration_hilbert,
@@ -120,11 +123,13 @@ def test_equivalence_walks_one_power_series(counted, chain_calls, name):
     """One power series and one image table per walk: the m-walk, the series, an I-walk.
 
     With I = m the ladder continues the m-walk whose rung 1 is the Gorenstein
-    check's socle, so it builds two tables; any other I walks J's colon series
-    by I as well, so it builds three.
+    check's socle, so it builds two tables; any other I walks A's colon series
+    by J + I as well, so it builds three. Each I gets a fresh A, since A keeps
+    only its latest walk. A second I = m equivalence on the same A finds the
+    m-walk on A and builds only the power series' table.
     """
     J = _ideal(next(e for e in CORPUS if e[0] == name))
-    A = make_quotient(J)
+    make_quotient(J)  # J's basis; every A below is built from it
     work = count_kernel_work(counted)
     ring = J.ring  # the last I as the CLI builds it: parsed generators, no basis published
     first, last = ring.variables[0], ring.variables[-1]
@@ -135,11 +140,67 @@ def test_equivalence_walks_one_power_series(counted, chain_calls, name):
     ]
     for walks, (I, tables) in enumerate(ideals, 1):
         work["multiplier"].clear()
-        verify_main_equivalence(A, I)
+        verify_main_equivalence(make_quotient(J), I)
         assert len(work["series"]) == walks
         assert len(work["multiplier"]) == tables
+    A = make_quotient(J)
+    m = irrelevant_power(ring, 1)
+    verify_main_equivalence(A, m)
+    work["multiplier"].clear()
+    again = verify_main_equivalence(A, m)
+    assert [args[0] for args in work["multiplier"]] == [A]  # the power series' table alone
+    assert again == verify_main_equivalence(make_quotient(J), m)
     assert work["buchberger"] == work["reduce_gb"] == work["ideal_ops.reduce_gb"] == []
     assert chain_calls == []
+
+
+def test_a_linear_generator_shares_the_m_walk(counted):
+    """J = (x + 2y, y^3): the images in A of m's generators and of J + m's basis are -2y and y.
+
+    So the ladder of I = m continues the Gorenstein check's m-walk, and the
+    equivalence builds two image tables, that walk's and the power series'.
+    """
+    J = make_ideal(QQ, ("x", "y"), ("x+2*y", "y^3"))
+    A = make_quotient(J)
+    work = count_kernel_work(counted)
+    report = verify_main_equivalence(A, irrelevant_power(J.ring, 1))
+    assert len(work["multiplier"]) == 2
+    assert report.delta == 2 and report.ladder_holds and report.symmetric
+
+
+@pytest.mark.parametrize("name", ["ci_x3_y4", "ci_x2_y2_z2", "storch", "mixed_ci"])
+def test_kernels_reduce_each_border_monomial_once(monkeypatch, name):
+    """The m-walk, the power series and an I-walk on one A share A's border normal forms.
+
+    Counted over one equivalence: the calls of Ideal.reduce that the image
+    tables (ideal_ops._multiplier) make. Each is a monomial outside A's
+    staircase, and each is reduced once. The series reduce their generators
+    themselves, outside the tables, and are not counted.
+    """
+    J = _ideal(next(e for e in CORPUS if e[0] == name))
+    ring = J.ring
+    first, last = ring.variables[0], ring.variables[-1]
+    reduced = []
+    original = Ideal.reduce
+
+    def spy(ideal, f):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "image" and caller.f_globals["__name__"].endswith("ideal_ops"):
+            assert ideal is J and f.num_terms == 1 and f.leading_exps not in staircase
+            reduced.append(f.leading_exps)
+        return original(ideal, f)
+
+    monkeypatch.setattr(Ideal, "reduce", spy)
+    for I in (
+        irrelevant_power(ring, 1),
+        irrelevant_power(ring, 2),
+        Ideal(ring, (ring.parse(first), ring.parse(f"{last}^2"))),
+    ):
+        A = make_quotient(J)
+        staircase = set(A.standard_monomials)
+        reduced.clear()
+        verify_main_equivalence(A, I)
+        assert reduced and len(reduced) == len(set(reduced)), I
 
 
 @pytest.mark.parametrize("name", ["ci_x3_y4", "ci_x2_y2_z2", "mixed_ci"])

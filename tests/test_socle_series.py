@@ -11,10 +11,10 @@ and not), Storch's fixture, its char-2 variant and the fat point x^2, xy, y^2.
 The Gorenstein ladders of verify_corollary and verify_main_equivalence(A, m)
 walk this series: their reports equal those of the colon_powers ladder, and
 they take no colon, no intersection and no quotient beyond R/J. With
-J + I != m the equivalence walks J's colon series by the generators of I's
-power chain instead: for CORPUS in both orders, with I = m^2, (x, y^2),
-random forms and ideals that are zero in A, its reports equal those of
-colon_powers too, and it takes no colon.
+J + I != m the equivalence walks A's colon series by the images in A of
+J + I's reduced basis instead: for CORPUS in both orders, with I = m^2,
+(x, y^2), random forms and ideals that are zero in A, its reports equal
+those of colon_powers too, and it takes no colon.
 """
 
 from __future__ import annotations
